@@ -36,9 +36,10 @@ from .errors import (
     CompatibilityError,
     FormatError,
     ParameterError,
+    SphashError,
     TrainingDivergedError,
 )
-from .fileio import load_checkpoint, read_dataset, write_dataset
+from .fileio import atomic_write, load_checkpoint, read_dataset, write_dataset
 from .losses import LossConfig
 from .pacer import PaceSchedule
 from .seeding import stable_seed
@@ -48,22 +49,16 @@ _DEFAULT_VAL_FRAC = 0.1
 _GAMMA_OVERRIDE_DEFAULT = 200.0
 
 
-def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v]
+def _list_of(kind):
+    """Parser for comma-separated text (or a JSON list) into a list of ``kind``."""
 
+    def parse(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            value = [v for v in str(value).split(",") if v]
+        return [kind(v) for v in value]
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v]
-
-
-def _str_list(text) -> list[str]:
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
-    return [v for v in str(text).split(",") if v]
+    parse.__name__ = f"{kind.__name__} list"  # named in argparse's error messages
+    return parse
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -79,7 +74,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=8, help="class count (default 8)")
     p.add_argument("--m", type=int, default=2, help="modality count (default 2)")
     p.add_argument(
-        "--dims", type=_int_list, default=[64, 48],
+        "--dims", type=_list_of(int), default=[64, 48],
         help="comma-separated feature dims, one per modality (default 64,48)",
     )
     p.add_argument(
@@ -103,7 +98,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser, bits_as_grid: bool = False) -> None:
     if bits_as_grid:
         p.add_argument(
-            "--bits", type=_int_list, default=[16, 32, 64, 128],
+            "--bits", type=_list_of(int), default=[16, 32, 64, 128],
             help="comma-separated code lengths (default 16,32,64,128)",
         )
     else:
@@ -214,7 +209,10 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "tool_version": __version__,
         "duration_seconds": round(time.time() - started, 3),
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(
+        out_dir / "run_manifest.json",
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
+    )
 
 
 def _load_splits(manifest: dict, dataset: MultiModalDataset):
@@ -227,35 +225,36 @@ def _load_splits(manifest: dict, dataset: MultiModalDataset):
     )
 
 
+def _write_synthetic(args, seed: int, noise_rate: float, out: Path):
+    """Synthesize a dataset, corrupt its train split's labels and write it to out.
+
+    Returns (spec, manifest path).
+    """
+    spec = SynthSpec(
+        n=args.n, k=args.k, m=args.m, dims=tuple(args.dims),
+        class_separation=args.class_separation, intra_noise_std=args.intra_noise_std,
+        seed=seed,
+    )
+    dataset = generate_synthetic(spec)
+    train_ds, _, _ = split(dataset, args.train_frac, args.val_frac, seed)
+    noised = inject_noise_subset(
+        dataset, train_ds.source_rows, noise_rate, stable_seed(seed, "train-noise")
+    )
+    split_spec = {"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": seed}
+    return spec, write_dataset(noised, out, split_spec=split_spec)
+
+
 def cmd_gen_data(args) -> int:
     started = time.time()
     if not 0.0 <= args.noise_rate <= 1.0:
         raise ParameterError(f"--noise-rate {args.noise_rate} outside [0, 1]")
-    spec = SynthSpec(
-        n=args.n,
-        k=args.k,
-        m=args.m,
-        dims=tuple(args.dims),
-        class_separation=args.class_separation,
-        intra_noise_std=args.intra_noise_std,
-        seed=args.seed,
-    )
-    dataset = generate_synthetic(spec)
-    train_ds, _, _ = split(dataset, args.train_frac, args.val_frac, args.seed)
-    noised = inject_noise_subset(
-        dataset, train_ds.source_rows, args.noise_rate, stable_seed(args.seed, "train-noise")
-    )
     out = Path(args.out)
-    manifest_path = write_dataset(
-        noised,
-        out,
-        split_spec={"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": args.seed},
-    )
+    spec, manifest_path = _write_synthetic(args, args.seed, args.noise_rate, out)
     artifacts = sorted(p.name for p in out.iterdir() if p.suffix in (".fmat", ".lmat"))
     artifacts.append(manifest_path.name)
     config = {"synth": spec, "noise_rate": args.noise_rate}
     _write_run_manifest(out, "gen-data", config, args.seed, artifacts, started, args.argv)
-    print(f"wrote dataset with {dataset.n} instances to {out}")
+    print(f"wrote dataset with {spec.n} instances to {out}")
     return 0
 
 
@@ -305,6 +304,31 @@ def _final_weight_dump(weights_csv: Path):
     return idx, weights
 
 
+def _test_split_tasks(params, train_ds, test_ds):
+    """I2T and T2I: test-split queries against the train-split gallery, true labels."""
+    return evaluator.cross_modal_tasks(
+        trainer.binary_codes(params, test_ds), test_ds.true_labels,
+        trainer.binary_codes(params, train_ds), train_ds.true_labels,
+    )
+
+
+def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int) -> list[str]:
+    """Write map.csv and one PR curve per direction; returns the artifact names."""
+    artifacts, map_rows = [], []
+    for task in _test_split_tasks(params, train_ds, test_ds):
+        direction = task.direction.lower()
+        score = evaluator.mean_average_precision(task)
+        map_rows.append((direction, score))
+        print(f"map_{direction} {score:.4f}")
+        points = evaluator.pr_curve(task, pr_points)
+        evaluator.write_pr_csv(points, out / f"pr_{direction}.csv")
+        artifacts.append(f"pr_{direction}.csv")
+    (out / "map.csv").write_text(
+        "direction,map\n" + "\n".join(f"{d},{v:.6f}" for d, v in map_rows) + "\n"
+    )
+    return artifacts + ["map.csv"]
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     params, centers = load_checkpoint(Path(args.checkpoint))
@@ -323,25 +347,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    query_codes = trainer.binary_codes(params, test_ds)
-    gallery_codes = trainer.binary_codes(params, train_ds)
-    artifacts = []
-    map_rows = []
-    for direction, q, g in (("i2t", 0, 1), ("t2i", 1, 0)):
-        task = evaluator.RetrievalTask(
-            query_codes[q], test_ds.true_labels,
-            gallery_codes[g], train_ds.true_labels, direction.upper(),
-        )
-        score = evaluator.mean_average_precision(task)
-        map_rows.append((direction, score))
-        print(f"map_{direction} {score:.4f}")
-        points = evaluator.pr_curve(task, args.pr_points)
-        evaluator.write_pr_csv(points, out / f"pr_{direction}.csv")
-        artifacts.append(f"pr_{direction}.csv")
-    (out / "map.csv").write_text(
-        "direction,map\n" + "\n".join(f"{d},{v:.6f}" for d, v in map_rows) + "\n"
-    )
-    artifacts.append("map.csv")
+    # scored in a callee so the tasks' cached rankings are freed before the weights.csv parse
+    artifacts = _write_retrieval_scores(params, train_ds, test_ds, out, args.pr_points)
 
     weights_csv = Path(args.weights) if args.weights else None
     if weights_csv and not weights_csv.exists():
@@ -382,7 +389,7 @@ def cmd_sweep(args) -> int:
                     cells[(noise, bits, variant)] = _run_cell(
                         args, noise, bits, variant, cell_seed, cell_dir
                     )
-                except Exception as exc:  # a broken cell must not sink the grid
+                except (SphashError, OSError) as exc:  # a broken cell must not sink the grid
                     print(f"cell n={noise} bits={bits} {variant} failed: {exc}", file=sys.stderr)
                     cells[(noise, bits, variant)] = None
                     failed = True
@@ -415,21 +422,7 @@ def cmd_sweep(args) -> int:
 
 def _run_cell(args, noise: float, bits: int, variant: str, seed: int, cell_dir: Path):
     """gen-data + train + test-split MAP for one sweep cell."""
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(
-        n=args.n, k=args.k, m=args.m, dims=tuple(args.dims),
-        class_separation=args.class_separation, intra_noise_std=args.intra_noise_std,
-        seed=seed,
-    )
-    dataset = generate_synthetic(spec)
-    train_split, _, _ = split(dataset, args.train_frac, args.val_frac, seed)
-    dataset = inject_noise_subset(
-        dataset, train_split.source_rows, noise, stable_seed(seed, "train-noise")
-    )
-    manifest_path = write_dataset(
-        dataset, cell_dir / "data",
-        split_spec={"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": seed},
-    )
+    _, manifest_path = _write_synthetic(args, seed, noise, cell_dir / "data")
     dataset, manifest = read_dataset(manifest_path)
 
     cell_args = argparse.Namespace(**vars(args))
@@ -439,20 +432,9 @@ def _run_cell(args, noise: float, bits: int, variant: str, seed: int, cell_dir: 
     config = _train_config(cell_args)
     report, (train_ds, _, test_ds) = _run_training(dataset, manifest, config, cell_dir / "train")
 
-    params, centers = load_checkpoint(report.checkpoint_path)
-    query_codes = trainer.binary_codes(params, test_ds)
-    gallery_codes = trainer.binary_codes(params, train_ds)
-    i2t = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(
-            query_codes[0], test_ds.true_labels, gallery_codes[1], train_ds.true_labels, "I2T"
-        )
-    )
-    t2i = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(
-            query_codes[1], test_ds.true_labels, gallery_codes[0], train_ds.true_labels, "T2I"
-        )
-    )
-    return i2t, t2i
+    params, _ = load_checkpoint(report.checkpoint_path)
+    i2t, t2i = _test_split_tasks(params, train_ds, test_ds)
+    return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -497,9 +479,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("sweep", help="train+eval over a noise x bits x variant grid")
     _add_config_flag(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--noise-rates", type=_float_list, default=[0.2, 0.4, 0.6, 0.8],
+    p.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
                    help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
-    p.add_argument("--variants", type=_str_list, default=["full"],
+    p.add_argument("--variants", type=_list_of(str), default=["full"],
                    help="comma-separated variants (default full)")
     _add_synth_flags(p)
     _add_train_flags(p, bits_as_grid=True)
@@ -513,7 +495,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, commands: dict, argv):
     config_path = getattr(args, "config", None)
     if not config_path:
         return args
-    values = json.loads(Path(config_path).read_text())
+    try:
+        values = json.loads(Path(config_path).read_text())
+    except ValueError as exc:
+        raise ParameterError(f"config file {config_path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ParameterError(f"config file {config_path} must hold a JSON object")
     subparser = commands[args.command]
     known = {action.dest for action in subparser._actions}
     defaults = {}
@@ -526,12 +513,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, commands: dict, argv):
     subparser.set_defaults(**defaults)
     args = parser.parse_args(argv)
     # list-valued flags may arrive from JSON as strings or lists; normalize
-    normalizers = {"dims": _int_list, "noise_rates": _float_list, "variants": _str_list}
+    kinds = {"dims": int, "noise_rates": float, "variants": str}
     if args.command == "sweep":
-        normalizers["bits"] = _int_list
-    for dest, fn in normalizers.items():
+        kinds["bits"] = int
+    for dest, kind in kinds.items():
         if hasattr(args, dest):
-            setattr(args, dest, fn(getattr(args, dest)))
+            try:
+                setattr(args, dest, _list_of(kind)(getattr(args, dest)))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"config key {dest!r} in {config_path}: {exc}") from exc
     return args
 
 

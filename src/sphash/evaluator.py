@@ -5,12 +5,14 @@ ascending gallery index, so rankings (and therefore every metric here) are
 deterministic. An item is relevant to a query when the two share at least one
 class. MAP is computed over the full gallery ranking; queries with no
 relevant item score 0 and are counted in the mean. Per-query results combine
-in fixed index order, keeping MAP bit-identical across runs.
+in fixed index order, keeping MAP bit-identical across runs. Each task ranks
+its gallery once; MAP and the PR curve both read that ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +53,14 @@ class RetrievalTask:
         g = self.gallery_labels.astype(np.int64)
         return (q @ g.T) >= 1
 
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of disagreeing positions between two codes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"code lengths differ: {a.shape} vs {b.shape}")
-    return int((a != b).sum())
+    @cached_property
+    def ranked_relevance(self) -> np.ndarray:
+        """(Q, G) relevance in rank order, computed once per task."""
+        distances = pairwise_hamming(self.query_codes, self.gallery_codes)
+        order = np.argsort(distances, axis=1, kind="stable")
+        ranked = np.take_along_axis(self.relevance(), order, axis=1)
+        ranked.flags.writeable = False  # shared by every metric of this task
+        return ranked
 
 
 def pairwise_hamming(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
@@ -68,24 +70,18 @@ def pairwise_hamming(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return kernels.pairwise_hamming_packed(kernels.pack_signs(codes_a), kernels.pack_signs(codes_b))
 
 
-def pairwise_hamming_dot(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """Same distances through the identity d = (L - a.b) / 2 for +-1 codes."""
-    if codes_a.shape[1] != codes_b.shape[1]:
-        raise ShapeError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
-    sims = codes_a.astype(np.int64) @ codes_b.astype(np.int64).T
-    return (codes_a.shape[1] - sims) // 2
+def cross_modal_tasks(
+    query_codes, query_labels, gallery_codes, gallery_labels
+) -> tuple[RetrievalTask, RetrievalTask]:
+    """The two directions every model is scored in: (I2T, T2I).
 
-
-def rank_gallery(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Gallery indices by ascending distance, ties by ascending index."""
-    query = np.asarray(query)
-    gallery = np.asarray(gallery)
-    if gallery.shape[0] == 0:
-        raise ShapeError("gallery is empty")
-    if query.shape[-1] != gallery.shape[1]:
-        raise ShapeError(f"code lengths differ: {query.shape[-1]} vs {gallery.shape[1]}")
-    distances = (gallery != query).sum(axis=1)
-    return np.argsort(distances, kind="stable")
+    I2T ranks the modality-1 gallery for modality-0 queries; T2I the reverse.
+    ``query_codes`` and ``gallery_codes`` are per-modality code matrices.
+    """
+    return (
+        RetrievalTask(query_codes[0], query_labels, gallery_codes[1], gallery_labels, "I2T"),
+        RetrievalTask(query_codes[1], query_labels, gallery_codes[0], gallery_labels, "T2I"),
+    )
 
 
 def average_precision(relevance: np.ndarray) -> float:
@@ -96,18 +92,9 @@ def average_precision(relevance: np.ndarray) -> float:
     return float(kernels.ap_scores(relevance[None, :])[0])
 
 
-def _ranked_relevance(task: RetrievalTask) -> np.ndarray:
-    distances = pairwise_hamming(task.query_codes, task.gallery_codes)
-    order = np.argsort(distances, axis=1, kind="stable")
-    return np.take_along_axis(task.relevance(), order, axis=1)
-
-
-def average_precision_per_query(task: RetrievalTask) -> np.ndarray:
-    return kernels.ap_scores(_ranked_relevance(task))
-
 def mean_average_precision(task: RetrievalTask) -> float:
     """MAP over the full gallery ranking."""
-    scores = average_precision_per_query(task)
+    scores = kernels.ap_scores(task.ranked_relevance)
     total = 0.0
     for score in scores:  # fixed index order: bit-stable mean
         total += float(score)
@@ -129,7 +116,7 @@ def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
     """
     if num_points < 2:
         raise ParameterError(f"num_points={num_points} must be >= 2")
-    ranked = _ranked_relevance(task).astype(np.int64)
+    ranked = task.ranked_relevance
     levels = np.linspace(0.0, 1.0, num_points)
     ranks = np.arange(1, ranked.shape[1] + 1)
 

@@ -26,6 +26,7 @@ from .errors import (
     BadMagicError,
     DimensionOverflowError,
     FormatError,
+    LabelError,
     ParameterError,
     TruncatedPayloadError,
 )
@@ -39,7 +40,8 @@ _HEADER = struct.Struct("<4sHHQQ")
 _MAX_ELEMENTS = 1 << 40  # anything larger is a corrupt header, not a real matrix
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def atomic_write(path: Path, payload: bytes) -> None:
+    """Write payload to a temp file beside path, then rename it over path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
@@ -70,7 +72,7 @@ def save_features(matrix: np.ndarray, path) -> None:
     if not np.all(np.isfinite(matrix)):
         raise ParameterError("feature matrix contains non-finite values")
     header = _HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, 0, *matrix.shape)
-    _atomic_write(Path(path), header + matrix.astype("<f4").tobytes())
+    atomic_write(Path(path), header + matrix.astype("<f4").tobytes())
 
 
 def load_features(path) -> np.ndarray:
@@ -94,7 +96,7 @@ def save_labels(matrix: np.ndarray, path) -> None:
     if not np.isin(matrix, (0, 1)).all():
         raise ParameterError("label matrix entries must be 0 or 1")
     header = _HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, 0, *matrix.shape)
-    _atomic_write(Path(path), header + matrix.astype(np.uint8).tobytes())
+    atomic_write(Path(path), header + matrix.astype(np.uint8).tobytes())
 
 
 def load_labels(path) -> np.ndarray:
@@ -142,7 +144,7 @@ def write_dataset(
     if split_spec is not None:
         manifest["split"] = dict(split_spec)
     path = out_dir / MANIFEST_NAME
-    _atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 
@@ -151,18 +153,51 @@ def read_dataset(manifest_path) -> tuple[MultiModalDataset, dict]:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     dataset = MultiModalDataset(
         modalities=[load_features(base / rel) for rel in manifest["modalities"]],
         labels=load_labels(base / manifest["labels"]),
         true_labels=load_labels(base / manifest["true_labels"]),
         noise_mask=load_labels(base / manifest["mask"])[:, 0].astype(bool),
-        class_count=int(manifest["class_count"]),
-        seed=int(manifest["seed"]),
+        class_count=manifest["class_count"],
+        seed=manifest["seed"],
     )
-    dataset.validate()
+    try:
+        dataset.validate()
+    except (ParameterError, LabelError) as exc:
+        raise FormatError(f"{manifest_path}: inconsistent dataset files: {exc}") from exc
     return dataset, manifest
+
+
+_MANIFEST_TYPES = {
+    "modalities": list, "labels": str, "true_labels": str, "mask": str,
+    "class_count": int, "seed": int,
+}
+_SPLIT_TYPES = {"train_frac": (int, float), "val_frac": (int, float), "seed": int}
+
+
+def _check_manifest(manifest, path) -> None:
+    """Raise FormatError unless each manifest key is present with its JSON type."""
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    split_spec = manifest.get("split", {})
+    if not isinstance(split_spec, dict):
+        raise FormatError(f"{path}: key 'split' is not a JSON object")
+    checks = ((manifest, _MANIFEST_TYPES, True), (split_spec, _SPLIT_TYPES, False))
+    for obj, types, required in checks:
+        for key, kind in types.items():
+            if key not in obj:
+                if required:
+                    raise FormatError(f"{path}: missing key {key!r}")
+            elif isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+                raise FormatError(f"{path}: key {key!r} has type {type(obj[key]).__name__}")
+    if not all(isinstance(name, str) for name in manifest["modalities"]):
+        raise FormatError(f"{path}: 'modalities' must list file names")
 
 
 def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> None:
@@ -175,7 +210,7 @@ def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> Non
     for mod in params.modalities:
         for arr in mod.arrays():
             chunks.append(arr.astype("<f4").tobytes())
-    _atomic_write(Path(path), b"".join(chunks))
+    atomic_write(Path(path), b"".join(chunks))
 
 
 def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:

@@ -1,33 +1,16 @@
-"""Hot retrieval kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot retrieval kernels: packed Hamming distances and batched average precision.
 
-The two implementations of each kernel are bit-for-bit equivalent; which one
-runs is decided once at import time. Set ``SPHASH_DISABLE_NUMBA=1`` to force
-the numpy path (the fallback is also used automatically when numba is not
-installed). ``benchmarks/bench_kernels.py`` times both paths side by side.
+There is one implementation of each kernel, in numpy. Codes are packed into
+uint64 words and compared with ``np.bitwise_count`` (numpy >= 2.0); average
+precision is accumulated with cumulative sums that add strictly left to
+right, so scores are bit-identical to a sequential per-query loop.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("SPHASH_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _disabled_by_env()
-
-_QUERY_CHUNK = 256  # bounds the (chunk, gallery, words) xor buffer in the numpy path
+_QUERY_CHUNK = 256  # bounds the (chunk, gallery, words) xor buffer
 
 
 def pack_signs(codes: np.ndarray) -> np.ndarray:
@@ -39,15 +22,17 @@ def pack_signs(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError("expected a 2-d code matrix")
-    bits = (codes > 0).astype(np.uint8)
-    packed = np.packbits(bits, axis=1)
+    packed = np.packbits(codes > 0, axis=1)
     pad = (-packed.shape[1]) % 8
     if pad:
         packed = np.pad(packed, ((0, 0), (0, pad)))
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def _hamming_packed_numpy(query_words: np.ndarray, gallery_words: np.ndarray) -> np.ndarray:
+def pairwise_hamming_packed(query_words: np.ndarray, gallery_words: np.ndarray) -> np.ndarray:
+    """All-pairs Hamming distances between packed code sets, shape (Q, G)."""
+    if query_words.shape[1] != gallery_words.shape[1]:
+        raise ValueError("packed word counts differ")
     n_query = query_words.shape[0]
     out = np.empty((n_query, gallery_words.shape[0]), dtype=np.int64)
     for start in range(0, n_query, _QUERY_CHUNK):
@@ -57,81 +42,18 @@ def _hamming_packed_numpy(query_words: np.ndarray, gallery_words: np.ndarray) ->
     return out
 
 
-def _hamming_packed_loop(query_words, gallery_words):  # pragma: no cover - jitted
-    n_query, n_words = query_words.shape
-    n_gallery = gallery_words.shape[0]
-    out = np.empty((n_query, n_gallery), dtype=np.int64)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    for i in range(n_query):
-        for j in range(n_gallery):
-            total = 0
-            for w in range(n_words):
-                x = query_words[i, w] ^ gallery_words[j, w]
-                x = x - ((x >> np.uint64(1)) & m1)
-                x = (x & m2) + ((x >> np.uint64(2)) & m2)
-                x = (x + (x >> np.uint64(4))) & m4
-                total += np.int64((x * h01) >> np.uint64(56))
-            out[i, j] = total
-    return out
-
-
-def _ap_scores_numpy(ranked_relevance: np.ndarray) -> np.ndarray:
-    rel = ranked_relevance.astype(np.int64, copy=False)
-    cum = np.cumsum(rel, axis=1)
-    ranks = np.arange(1, rel.shape[1] + 1, dtype=np.int64)
-    # cumsum of the per-rank terms adds strictly left to right, so the result
-    # is bit-identical to the sequential loop in the jitted version
-    terms = np.where(rel > 0, cum / ranks, 0.0)
-    totals = np.cumsum(terms, axis=1)[:, -1]
-    n_relevant = cum[:, -1]
-    return np.where(n_relevant > 0, totals / np.maximum(n_relevant, 1), 0.0)
-
-
-def _ap_scores_loop(ranked_relevance):  # pragma: no cover - jitted
-    n_query, n_gallery = ranked_relevance.shape
-    out = np.zeros(n_query, dtype=np.float64)
-    for i in range(n_query):
-        seen = np.int64(0)
-        acc = 0.0
-        for k in range(n_gallery):
-            if ranked_relevance[i, k] > 0:
-                seen += 1
-                acc += seen / np.int64(k + 1)
-        if seen > 0:
-            out[i] = acc / seen
-    return out
-
-
-if USE_NUMBA:
-    hamming_packed_jit = njit(cache=True)(_hamming_packed_loop)
-    ap_scores_jit = njit(cache=True)(_ap_scores_loop)
-else:
-    hamming_packed_jit = None
-    ap_scores_jit = None
-
-hamming_packed_numpy = _hamming_packed_numpy
-ap_scores_numpy = _ap_scores_numpy
-
-
-def pairwise_hamming_packed(query_words: np.ndarray, gallery_words: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances between packed code sets, shape (Q, G)."""
-    if query_words.shape[1] != gallery_words.shape[1]:
-        raise ValueError("packed word counts differ")
-    if USE_NUMBA:
-        return hamming_packed_jit(query_words, gallery_words)
-    return hamming_packed_numpy(query_words, gallery_words)
-
-
 def ap_scores(ranked_relevance: np.ndarray) -> np.ndarray:
     """Average precision per query from 0/1 relevance in rank order.
 
     AP = (1/R) * sum over relevant ranks k of (relevant-in-top-k) / k,
     and 0.0 for a query with no relevant items.
     """
-    rel = np.ascontiguousarray(ranked_relevance, dtype=np.uint8)
-    if USE_NUMBA:
-        return ap_scores_jit(rel)
-    return ap_scores_numpy(rel)
+    rel = np.ascontiguousarray(ranked_relevance, dtype=np.uint8).astype(np.int64)
+    cum = np.cumsum(rel, axis=1)
+    ranks = np.arange(1, rel.shape[1] + 1, dtype=np.int64)
+    # cumsum of the per-rank terms adds strictly left to right: the same
+    # order as a sequential per-query loop
+    terms = np.where(rel > 0, cum / ranks, 0.0)
+    totals = np.cumsum(terms, axis=1)[:, -1]
+    n_relevant = cum[:, -1]
+    return np.where(n_relevant > 0, totals / np.maximum(n_relevant, 1), 0.0)

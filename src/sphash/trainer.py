@@ -255,13 +255,8 @@ def _validation_map(
     """
     codes = binary_codes(params, val_ds)
     labels = val_ds.true_labels if clean_val else val_ds.labels
-    i2t = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(codes[0], labels, codes[1], labels, "I2T")
-    )
-    t2i = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(codes[1], labels, codes[0], labels, "T2I")
-    )
-    return i2t, t2i
+    i2t, t2i = evaluator.cross_modal_tasks(codes, labels, codes, labels)
+    return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
 
 
 def train(

@@ -60,11 +60,9 @@ def train_benchmark(noise: float, variant: str, tmp_path_factory):
     params, _ = load_checkpoint(rep.checkpoint_path)
     q = binary_codes(params, te)
     g = binary_codes(params, tr)
-    i2t = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(q[0], te.true_labels, g[1], tr.true_labels, "I2T")
-    )
-    t2i = evaluator.mean_average_precision(
-        evaluator.RetrievalTask(q[1], te.true_labels, g[0], tr.true_labels, "T2I")
+    i2t, t2i = (
+        evaluator.mean_average_precision(task)
+        for task in evaluator.cross_modal_tasks(q, te.true_labels, g, tr.true_labels)
     )
     auc_first = f1_best = float("nan")
     if rep.weight_log:

@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from sphash.cli import main
+import sphash.cli as cli_module
+from sphash.cli import _list_of, main
+from sphash.errors import TrainingDivergedError
 from sphash.fileio import read_dataset
 from sphash.data import split
 
@@ -198,6 +201,23 @@ class TestSweep:
         assert main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 0
         assert artifact_bytes(tmp_path) == artifact_bytes(sweep_dir)
 
+    def test_programming_error_in_a_cell_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in cell code")
+
+        monkeypatch.setattr(cli_module, "_run_cell", broken)
+        with pytest.raises(RuntimeError):
+            main(SWEEP_ARGS + ["--out", str(tmp_path)])
+
+    def test_diverged_cell_becomes_error_cell(self, tmp_path, monkeypatch):
+        def explode(*args, **kwargs):
+            raise TrainingDivergedError("non-finite loss at epoch 2, batch 0", 2, 0)
+
+        monkeypatch.setattr(cli_module.trainer, "train", explode)
+        assert main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 1
+        rows = (tmp_path / "aggregate.csv").read_text().strip().splitlines()[1:]
+        assert all(row.split(",")[1:] == ["error"] * 4 for row in rows)
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_but_flags_win(self, tmp_path):
@@ -218,6 +238,57 @@ class TestConfigFile:
         config.write_text(json.dumps({"plutonium": 1}))
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
         assert code == 2
+
+
+BAD_MANIFESTS = {
+    "not json": lambda m: "{truncated",
+    "not an object": lambda m: "[]",
+    "missing key": lambda m: json.dumps({k: v for k, v in m.items() if k != "labels"}),
+    "string class count": lambda m: json.dumps({**m, "class_count": "4"}),
+    "bool seed": lambda m: json.dumps({**m, "seed": True}),
+    "modality not a name": lambda m: json.dumps({**m, "modalities": [0, 1]}),
+    "one modality": lambda m: json.dumps({**m, "modalities": m["modalities"][:1]}),
+    "split not an object": lambda m: json.dumps({**m, "split": [0.7, 0.1]}),
+    "string split seed": lambda m: json.dumps({**m, "split": {**m["split"], "seed": "7"}}),
+    "files disagree": lambda m: json.dumps({**m, "labels": m["true_labels"]}),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "payload", [b"{not json", b"[1, 2]", b'"n"', b"\xff\xfe", b'{"dims": ["a"]}'],
+    )
+    def test_bad_config_file_exit_2(self, tmp_path, payload):
+        config = tmp_path / "config.json"
+        config.write_bytes(payload)
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_dataset_manifest_exit_3(self, dataset_dir, tmp_path, case):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(BAD_MANIFESTS[case](manifest))
+        code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 3
+
+    def test_run_manifest_written_atomically(self, tmp_path, monkeypatch):
+        written = []
+        real = cli_module.atomic_write
+
+        def recording(path, payload):
+            written.append(path.name)
+            real(path, payload)
+
+        monkeypatch.setattr(cli_module, "atomic_write", recording)
+        assert main(GEN_ARGS + ["--out", str(tmp_path)]) == 0
+        assert written == ["run_manifest.json"]
+
+
+def test_list_parser_is_element_typed():
+    assert _list_of(int)("8,,6") == [8, 6]
+    assert _list_of(float)([1, "0.5"]) == [1.0, 0.5]
+    assert _list_of(str)("full,no_spl") == ["full", "no_spl"]
 
 
 class TestReplay:

@@ -7,16 +7,15 @@ from hypothesis.extra.numpy import arrays
 from oracles import naive_average_precision, naive_mean_average_precision
 from sphash.data import one_hot
 from sphash.errors import ParameterError, ShapeError
+from sphash import kernels
 from sphash.evaluator import (
     RetrievalTask,
     average_precision,
-    hamming_distance,
+    cross_modal_tasks,
     mean_average_precision,
     noise_detection_score,
     pairwise_hamming,
-    pairwise_hamming_dot,
     pr_curve,
-    rank_gallery,
     weight_density,
     write_pr_csv,
 )
@@ -38,42 +37,57 @@ def random_task(rng, n_query=6, n_gallery=20, length=8, k=3):
     )
 
 
+def distance(a, b) -> int:
+    """One pair's distance through the packed all-pairs kernel."""
+    return int(pairwise_hamming(a[None, :], b[None, :])[0, 0])
+
+
+def gallery_order(query, gallery):
+    """A task's ranking of the gallery for one query, read back from ranked_relevance.
+
+    Copy i of the query shares a class with gallery item i alone, so the one
+    relevant rank in row i is the rank of item i.
+    """
+    n = len(gallery)
+    labels = np.eye(n, dtype=np.uint8)
+    task = RetrievalTask(np.repeat(query[None, :], n, axis=0), labels, gallery, labels)
+    return np.argsort(task.ranked_relevance.argmax(axis=1))
+
+
 class TestHammingDistance:
     def test_identity(self):
         a = np.array([1, -1, 1], dtype=np.int8)
-        assert hamming_distance(a, a) == 0
+        assert distance(a, a) == 0
 
     def test_counting(self):
         a = np.array([1, 1, -1, -1], dtype=np.int8)
         b = np.array([1, -1, -1, 1], dtype=np.int8)
-        assert hamming_distance(a, b) == 2
+        assert distance(a, b) == 2
 
     def test_antipodal(self):
         a = np.array([1, -1, 1, 1, -1], dtype=np.int8)
-        assert hamming_distance(a, -a) == 5
+        assert distance(a, -a) == 5
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            hamming_distance(np.ones(3, dtype=np.int8), np.ones(4, dtype=np.int8))
+            pairwise_hamming(np.ones((1, 3), dtype=np.int8), np.ones((1, 4), dtype=np.int8))
 
     @settings(max_examples=50, deadline=None)
     @given(codes=pm_codes)
     def test_metric_properties(self, codes):
-        a = codes[0]
-        for b in codes:
-            assert hamming_distance(a, b) == hamming_distance(b, a)
-            assert (hamming_distance(a, b) == 0) == np.array_equal(a, b)
-        if len(codes) >= 3:
-            x, y, z = codes[0], codes[1], codes[2]
-            assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+        d = pairwise_hamming(codes, codes)
+        assert np.array_equal(d, d.T)
+        equal_rows = (codes[:, None, :] == codes[None, :, :]).all(axis=2)
+        assert np.array_equal(d == 0, equal_rows)
+        # d(x, z) <= d(x, y) + d(y, z) over every triple
+        assert (d[:, None, :] <= d[:, :, None] + d[None, :, :]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(codes=pm_codes)
     def test_dot_product_identity(self, codes):
         length = codes.shape[1]
-        for a in codes:
-            for b in codes:
-                assert hamming_distance(a, b) == (length - int(a.astype(int) @ b.astype(int))) // 2
+        dots = codes.astype(np.int64) @ codes.astype(np.int64).T
+        assert np.array_equal(pairwise_hamming(codes, codes), (length - dots) // 2)
 
 
 class TestPairwiseHamming:
@@ -82,7 +96,8 @@ class TestPairwiseHamming:
         for length in (1, 7, 32, 64, 100, 130):
             a = rng.choice([-1, 1], (9, length)).astype(np.int8)
             b = rng.choice([-1, 1], (13, length)).astype(np.int8)
-            assert np.array_equal(pairwise_hamming(a, b), pairwise_hamming_dot(a, b))
+            dot_route = (length - a.astype(np.int64) @ b.astype(np.int64).T) // 2
+            assert np.array_equal(pairwise_hamming(a, b), dot_route)
 
     def test_shape_check(self):
         a = np.ones((2, 4), dtype=np.int8)
@@ -96,7 +111,7 @@ class TestRankGallery:
         rng = np.random.default_rng(1)
         gallery = rng.choice([-1, 1], (10, 6)).astype(np.int8)
         query = gallery[4].copy()
-        order = rank_gallery(query, gallery)
+        order = gallery_order(query, gallery)
         dist = (gallery != query).sum(axis=1)
         first_zero = int(np.flatnonzero(dist == 0)[0])
         assert order[0] == first_zero
@@ -107,13 +122,40 @@ class TestRankGallery:
         gallery = np.array(
             [[-1, -1, -1], [1, 1, -1], [1, -1, 1], [1, 1, 1]], dtype=np.int8
         )
-        assert rank_gallery(query, gallery).tolist() == [3, 1, 2, 0]
+        assert gallery_order(query, gallery).tolist() == [3, 1, 2, 0]
 
     def test_output_is_permutation(self):
         rng = np.random.default_rng(2)
         gallery = rng.choice([-1, 1], (15, 5)).astype(np.int8)
-        order = rank_gallery(gallery[0], gallery)
+        order = gallery_order(gallery[0], gallery)
         assert sorted(order.tolist()) == list(range(15))
+
+
+class TestRankOnce:
+    def test_map_and_pr_curve_share_one_ranking(self, monkeypatch):
+        calls = []
+        real = kernels.pairwise_hamming_packed
+
+        def counting(query_words, gallery_words):
+            calls.append(1)
+            return real(query_words, gallery_words)
+
+        monkeypatch.setattr(kernels, "pairwise_hamming_packed", counting)
+        task = random_task(np.random.default_rng(14))
+        mean_average_precision(task)
+        pr_curve(task, 5)
+        assert len(calls) == 1
+
+    def test_cross_modal_directions(self):
+        rng = np.random.default_rng(15)
+        query = [rng.choice([-1, 1], (3, 8)).astype(np.int8) for _ in range(2)]
+        gallery = [rng.choice([-1, 1], (5, 8)).astype(np.int8) for _ in range(2)]
+        q_labels, g_labels = one_hot(np.arange(3) % 2, 2), one_hot(np.arange(5) % 2, 2)
+        i2t, t2i = cross_modal_tasks(query, q_labels, gallery, g_labels)
+        assert (i2t.direction, t2i.direction) == ("I2T", "T2I")
+        assert i2t.query_codes is query[0] and i2t.gallery_codes is gallery[1]
+        assert t2i.query_codes is query[1] and t2i.gallery_codes is gallery[0]
+        assert i2t.query_labels is q_labels and t2i.gallery_labels is g_labels
 
 
 class TestAveragePrecision:

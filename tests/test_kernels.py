@@ -36,17 +36,7 @@ class TestHammingPaths:
         a_codes, a = random_packed(rng, 7, 70)
         b_codes, b = random_packed(rng, 9, 70)
         expected = (a_codes[:, None, :] != b_codes[None, :, :]).sum(axis=2)
-        assert np.array_equal(kernels.hamming_packed_numpy(a, b), expected)
-
-    @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba path disabled")
-    def test_jit_path_bit_equal_to_numpy_path(self):
-        rng = np.random.default_rng(3)
-        for length in (1, 32, 64, 100, 256):
-            _, a = random_packed(rng, 11, length)
-            _, b = random_packed(rng, 17, length)
-            assert np.array_equal(
-                kernels.hamming_packed_jit(a, b), kernels.hamming_packed_numpy(a, b)
-            )
+        assert np.array_equal(kernels.pairwise_hamming_packed(a, b), expected)
 
     def test_dispatch_shape_check(self):
         rng = np.random.default_rng(4)
@@ -64,42 +54,6 @@ class TestApScores:
         for row, score in zip(rel, scores):
             assert score == naive_average_precision(row.tolist())
 
-    @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba path disabled")
-    def test_jit_path_bit_equal_to_numpy_path(self):
-        rng = np.random.default_rng(6)
-        rel = (rng.random((40, 60)) < 0.2).astype(np.uint8)
-        jit_scores = kernels.ap_scores_jit(np.ascontiguousarray(rel))
-        np_scores = kernels.ap_scores_numpy(rel)
-        assert np.array_equal(jit_scores, np_scores)
-
     def test_empty_relevance_rows_score_zero(self):
         rel = np.zeros((3, 10), dtype=np.uint8)
         assert np.array_equal(kernels.ap_scores(rel), np.zeros(3))
-
-
-class TestEnvFlag:
-    def test_disable_values(self, monkeypatch):
-        for value in ("1", "true", "YES", " 1 "):
-            monkeypatch.setenv("SPHASH_DISABLE_NUMBA", value)
-            assert kernels._disabled_by_env()
-        for value in ("", "0", "no"):
-            monkeypatch.setenv("SPHASH_DISABLE_NUMBA", value)
-            assert not kernels._disabled_by_env()
-
-    def test_fallback_import(self, monkeypatch):
-        # re-import with the flag set: the module must land on the numpy path
-        import importlib
-        import sys
-
-        monkeypatch.setenv("SPHASH_DISABLE_NUMBA", "1")
-        saved = sys.modules.pop("sphash.kernels")
-        try:
-            module = importlib.import_module("sphash.kernels")
-            assert not module.USE_NUMBA
-            rng = np.random.default_rng(7)
-            codes = rng.choice([-1, 1], (4, 33)).astype(np.int8)
-            packed = module.pack_signs(codes)
-            expected = (codes[:, None, :] != codes[None, :, :]).sum(axis=2)
-            assert np.array_equal(module.pairwise_hamming_packed(packed, packed), expected)
-        finally:
-            sys.modules["sphash.kernels"] = saved
