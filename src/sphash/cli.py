@@ -72,7 +72,7 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2000, help="instance count (default 2000)")
     p.add_argument("--k", type=int, default=8, help="class count (default 8)")
-    p.add_argument("--m", type=int, default=2, help="modality count (default 2)")
+    p.add_argument("--m", type=int, default=2, help="modality count; must be 2 (default 2)")
     p.add_argument(
         "--dims", type=_list_of(int), default=[64, 48],
         help="comma-separated feature dims, one per modality (default 64,48)",

@@ -1,6 +1,6 @@
 """Multi-modal datasets: synthetic generation, label-noise injection, splits.
 
-A dataset holds M aligned feature matrices (one per modality), the observed
+A dataset holds two aligned feature matrices (one per modality), the observed
 one-hot labels, the ground-truth labels, and a boolean mask marking rows whose
 observed label was corrupted. Everything is deterministic given the seed.
 """
@@ -34,8 +34,8 @@ class SynthSpec:
             raise ParameterError(f"n={self.n} must be >= k={self.k}")
         if self.k < 2:
             raise ParameterError(f"k={self.k} must be >= 2")
-        if self.m < 2:
-            raise ParameterError(f"m={self.m} must be >= 2")
+        if self.m != 2:
+            raise ParameterError(f"m={self.m} must be 2: retrieval scores modality 0 <-> 1")
         if len(self.dims) != self.m:
             raise ParameterError(f"dims has {len(self.dims)} entries for m={self.m} modalities")
         if any(d < 2 for d in self.dims):
@@ -70,8 +70,8 @@ class MultiModalDataset:
         return tuple(x.shape[1] for x in self.modalities)
 
     def validate(self) -> None:
-        if self.m < 2:
-            raise ParameterError("a multi-modal dataset needs at least 2 modalities")
+        if self.m != 2:
+            raise ParameterError(f"a dataset needs exactly 2 modalities, got {self.m}")
         n = self.n
         for i, x in enumerate(self.modalities):
             if x.ndim != 2 or x.shape[0] != n:

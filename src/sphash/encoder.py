@@ -4,10 +4,21 @@ Each modality owns a one-hidden-layer MLP with tanh activations whose output
 is a relaxed code in (-1, 1)^L; taking the sign of the relaxed code gives the
 binary code used for retrieval. One fixed random binary center per class
 serves as the aggregation target; centers are never updated by training.
+
+Every weight of every modality lives in one contiguous float64 vector,
+``HashEncoderParams.flat``: per modality, in modality order, w1 (d x hidden),
+b1 (hidden), w2 (hidden x L) and b2 (L), each row-major. This is also the
+order of the checkpoint's float32 weight block. ``ModalityParams`` are views
+into that vector, so one elementwise update of ``flat`` updates every
+encoder; gradients and optimizer moments share the layout.
+
+``forward`` returns the hidden activations along with the relaxed codes, and
+``backward`` takes them back, so a training step evaluates each layer once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +29,7 @@ from .seeding import spawn_rng
 
 @dataclass
 class ModalityParams:
-    """Weights of one modality's encoder: d -> hidden -> code."""
+    """Weights of one modality's encoder, d -> hidden -> code: views into flat."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -29,40 +40,40 @@ class ModalityParams:
     def input_dim(self) -> int:
         return self.w1.shape[0]
 
-    def copy(self) -> "ModalityParams":
-        return ModalityParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2)
+def flat_size(dims, hidden_dim: int, code_length: int) -> int:
+    """Length of the flat weight vector for these architecture sizes."""
+    return sum((d + 1) * hidden_dim + (hidden_dim + 1) * code_length for d in dims)
 
 
 @dataclass
 class HashEncoderParams:
-    """All modality encoders plus the shared architecture sizes."""
+    """All modality encoders: the flat weight vector plus the architecture sizes."""
 
-    modalities: list[ModalityParams]
+    flat: np.ndarray
+    dims: tuple[int, ...]
     hidden_dim: int
     code_length: int
 
+    def __post_init__(self):
+        self.dims = tuple(int(d) for d in self.dims)
+        size = flat_size(self.dims, self.hidden_dim, self.code_length)
+        if self.flat.shape != (size,):
+            raise ShapeError(f"flat weights have shape {self.flat.shape}, expected ({size},)")
+
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(mod.input_dim for mod in self.modalities)
-
-    def copy(self) -> "HashEncoderParams":
-        return HashEncoderParams(
-            [mod.copy() for mod in self.modalities], self.hidden_dim, self.code_length
-        )
-
-
-@dataclass
-class ModalityGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2)
+    def modalities(self) -> list[ModalityParams]:
+        """Per-modality w1, b1, w2, b2 views into flat, in layout order."""
+        h, l = self.hidden_dim, self.code_length
+        mods, offset = [], 0
+        for d in self.dims:
+            views = []
+            for shape in ((d, h), (h,), (h, l), (l,)):
+                size = math.prod(shape)
+                views.append(self.flat[offset : offset + size].reshape(shape))
+                offset += size
+            mods.append(ModalityParams(*views))
+        return mods
 
 
 def init_params(dims, hidden_dim: int, code_length: int, seed: int) -> HashEncoderParams:
@@ -72,55 +83,57 @@ def init_params(dims, hidden_dim: int, code_length: int, seed: int) -> HashEncod
     if any(d < 1 for d in dims):
         raise ParameterError(f"feature dims must be positive, got {tuple(dims)}")
     rng = spawn_rng(seed, "encoder-init")
-    mods = []
-    for d in dims:
-        bound1 = 1.0 / np.sqrt(d)
+    params = HashEncoderParams(
+        np.zeros(flat_size(dims, hidden_dim, code_length)), dims, hidden_dim, code_length
+    )
+    for mod in params.modalities:
+        bound1 = 1.0 / np.sqrt(mod.input_dim)
         bound2 = 1.0 / np.sqrt(hidden_dim)
-        mods.append(
-            ModalityParams(
-                w1=rng.uniform(-bound1, bound1, size=(d, hidden_dim)),
-                b1=np.zeros(hidden_dim),
-                w2=rng.uniform(-bound2, bound2, size=(hidden_dim, code_length)),
-                b2=np.zeros(code_length),
-            )
-        )
-    return HashEncoderParams(mods, hidden_dim, code_length)
+        mod.w1[:] = rng.uniform(-bound1, bound1, size=mod.w1.shape)
+        mod.w2[:] = rng.uniform(-bound2, bound2, size=mod.w2.shape)
+    return params
 
 
-def encode(mod: ModalityParams, x: np.ndarray) -> np.ndarray:
-    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2); rows map independently."""
+def forward(mod: ModalityParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, codes): hidden = tanh(x W1 + b1), codes = tanh(hidden W2 + b2)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mod.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
     hidden = np.tanh(x @ mod.w1 + mod.b1)
-    return np.tanh(hidden @ mod.w2 + mod.b2)
+    return hidden, np.tanh(hidden @ mod.w2 + mod.b2)
 
 
-def backward(mod: ModalityParams, x: np.ndarray, grad_codes: np.ndarray) -> ModalityGrads:
-    """Parameter gradients of sum(grad_codes * codes) for a batch.
+def encode(mod: ModalityParams, x: np.ndarray) -> np.ndarray:
+    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2); rows map independently."""
+    return forward(mod, x)[1]
 
-    grad_codes holds the upstream gradient of the loss with respect to the
-    relaxed codes; the chain rule runs through both tanh layers.
+
+def backward(
+    mod: ModalityParams, x: np.ndarray, hidden: np.ndarray, codes: np.ndarray,
+    grad_codes: np.ndarray,
+) -> np.ndarray:
+    """Gradient of sum(grad_codes * codes) w.r.t. one modality's weights.
+
+    hidden and codes are what ``forward(mod, x)`` returned; grad_codes holds
+    the upstream gradient of the loss with respect to the relaxed codes. The
+    chain rule runs through both tanh layers. The result is one vector laid
+    out like this modality's block of the flat weights: w1, b1, w2, b2.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     grad_codes = np.atleast_2d(np.asarray(grad_codes, dtype=np.float64))
     if x.shape[-1] != mod.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
-    if grad_codes.shape != (x.shape[0], mod.w2.shape[1]):
-        raise ShapeError(
-            f"grad shape {grad_codes.shape} != codes shape {(x.shape[0], mod.w2.shape[1])}"
-        )
-    hidden = np.tanh(x @ mod.w1 + mod.b1)
-    codes = np.tanh(hidden @ mod.w2 + mod.b2)
+    rows = x.shape[0]
+    got = (hidden.shape, codes.shape, grad_codes.shape)
+    want = ((rows, mod.w1.shape[1]), (rows, mod.w2.shape[1]), (rows, mod.w2.shape[1]))
+    if got != want:
+        raise ShapeError(f"hidden, codes and grad shapes {got} != {want}")
 
     dz2 = grad_codes * (1.0 - codes**2)
     dhidden = dz2 @ mod.w2.T
     dz1 = dhidden * (1.0 - hidden**2)
-    return ModalityGrads(
-        w1=x.T @ dz1,
-        b1=dz1.sum(axis=0),
-        w2=hidden.T @ dz2,
-        b2=dz2.sum(axis=0),
+    return np.concatenate(
+        [(x.T @ dz1).ravel(), dz1.sum(axis=0), (hidden.T @ dz2).ravel(), dz2.sum(axis=0)]
     )
 
 

@@ -77,6 +77,8 @@ def cross_modal_tasks(
 
     I2T ranks the modality-1 gallery for modality-0 queries; T2I the reverse.
     ``query_codes`` and ``gallery_codes`` are per-modality code matrices.
+    Datasets have exactly two modalities (``MultiModalDataset.validate``
+    rejects any other count), so the pair covers every cross-modal direction.
     """
     return (
         RetrievalTask(query_codes[0], query_labels, gallery_codes[1], gallery_labels, "I2T"),

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import MultiModalDataset
-from .encoder import HashEncoderParams, ModalityParams
+from .encoder import HashEncoderParams, flat_size
 from .errors import (
     BadMagicError,
     DimensionOverflowError,
@@ -201,15 +201,13 @@ def _check_manifest(manifest, path) -> None:
 
 
 def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> None:
-    """Model checkpoint: header, sizes, centers as int8, then f32 weight blocks."""
+    """Model checkpoint: header, sizes, centers as int8, then the f32 flat weights."""
     dims = params.dims
     chunks = [_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, 0, len(dims), params.hidden_dim)]
     chunks.append(struct.pack("<QQ", params.code_length, centers.shape[0]))
     chunks.append(struct.pack(f"<{len(dims)}Q", *dims))
     chunks.append(centers.astype(np.int8).tobytes())
-    for mod in params.modalities:
-        for arr in mod.arrays():
-            chunks.append(arr.astype("<f4").tobytes())
+    chunks.append(params.flat.astype("<f4").tobytes())
     atomic_write(Path(path), b"".join(chunks))
 
 
@@ -247,16 +245,7 @@ def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:
     centers = take(class_count * code_length, np.int8).reshape(class_count, code_length).copy()
     if not np.isin(centers, (-1, 1)).all():
         raise FormatError(f"{path}: center entries outside {{-1,+1}}")
-    mods = []
-    for d in dims:
-        mods.append(
-            ModalityParams(
-                w1=take(d * hidden, "<f4").reshape(d, hidden).astype(np.float64),
-                b1=take(hidden, "<f4").astype(np.float64),
-                w2=take(hidden * code_length, "<f4").reshape(hidden, code_length).astype(np.float64),
-                b2=take(code_length, "<f4").astype(np.float64),
-            )
-        )
+    flat = take(flat_size(dims, hidden, code_length), "<f4").astype(np.float64)
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
-    return HashEncoderParams(mods, int(hidden), int(code_length)), centers
+    return HashEncoderParams(flat, dims, int(hidden), int(code_length)), centers

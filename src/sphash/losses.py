@@ -254,21 +254,24 @@ def total_loss(
     centers: np.ndarray,
     weights: SampleWeights | None,
     cfg: LossConfig,
-) -> tuple[float, list[np.ndarray]]:
-    """Objective for one phase: warm-up uses the plain center criterion,
-    the self-paced phase its weighted form; both add alpha times the
-    contrastive term (skipped entirely at alpha = 0)."""
+) -> tuple[float, float | None, list[np.ndarray]]:
+    """Parts of one phase's objective, center + alpha * contrastive.
+
+    Returns (center, contrastive, grads). The center term is the plain
+    criterion in warm-up and its weighted form in the self-paced phase. The
+    contrastive term is None at alpha = 0, where it is never evaluated.
+    grads are the code gradients of the whole objective.
+    """
     if phase == WARMUP:
-        value, grads = cal_loss(batch, centers, cfg)
+        center, grads = cal_loss(batch, centers, cfg)
     elif phase == SELFPACED:
         if weights is None:
             raise ParameterError("self-paced phase requires sample weights")
-        value, grads = nsh_loss(batch, centers, weights, cfg)
+        center, grads = nsh_loss(batch, centers, weights, cfg)
     else:
         raise ParameterError(f"unknown phase {phase!r}")
 
-    if cfg.alpha > 0:
-        c_value, c_grads = chl_loss(batch, cfg)
-        value += cfg.alpha * c_value
-        grads = [g + cfg.alpha * cg for g, cg in zip(grads, c_grads)]
-    return value, grads
+    if not cfg.alpha > 0:
+        return center, None, grads
+    contrastive, c_grads = chl_loss(batch, cfg)
+    return center, contrastive, [g + cfg.alpha * cg for g, cg in zip(grads, c_grads)]

@@ -9,6 +9,11 @@ MAP (mean of both retrieval directions). Two runs with the same config and
 seed produce identical reports: batch order, reduction order, and every
 sub-seed derive from the run seed.
 
+A mini-batch step runs every encoder forward once, takes the phase
+objective's parts and code gradients from ``losses.total_loss``, runs
+backward through the stored activations, and applies one elementwise SGD or
+adaptive-moments update to the flat weight vector (layout in ``encoder``).
+
 Variants (ablations and robustness probes):
   full             the complete method
   no_warmup        warmup_epochs forced to 0
@@ -30,10 +35,10 @@ from . import evaluator, losses, pacer
 from .data import MultiModalDataset
 from .encoder import (
     HashEncoderParams,
-    ModalityGrads,
     backward,
     binarize,
     encode,
+    forward,
     init_centers,
     init_params,
 )
@@ -143,31 +148,28 @@ class TrainReport:
 
 
 class _OptimizerState:
-    """SGD or adaptive-moments slots mirroring every parameter array."""
+    """SGD, or the adaptive moments m and v laid out like ``params.flat``."""
 
     def __init__(self, kind: str, params: HashEncoderParams):
         self.kind = kind
         self.step_count = 0
         if kind == "adaptive_moments":
-            self.m = [[np.zeros_like(a) for a in mod.arrays()] for mod in params.modalities]
-            self.v = [[np.zeros_like(a) for a in mod.arrays()] for mod in params.modalities]
+            self.m = np.zeros_like(params.flat)
+            self.v = np.zeros_like(params.flat)
 
-    def apply(self, params: HashEncoderParams, grads: list[ModalityGrads], lr: float) -> None:
+    def apply(self, params: HashEncoderParams, grad: np.ndarray, lr: float) -> None:
+        """One elementwise update of params.flat from a gradient of the same layout."""
         if self.kind == "sgd":
-            for mod, grad in zip(params.modalities, grads):
-                for arr, g in zip(mod.arrays(), grad.arrays()):
-                    arr -= lr * g
+            params.flat -= lr * grad
             return
         self.step_count += 1
         correction1 = 1.0 - _ADAM_BETA1**self.step_count
         correction2 = 1.0 - _ADAM_BETA2**self.step_count
-        for mod, grad, ms, vs in zip(params.modalities, grads, self.m, self.v):
-            for arr, g, m, v in zip(mod.arrays(), grad.arrays(), ms, vs):
-                m *= _ADAM_BETA1
-                m += (1.0 - _ADAM_BETA1) * g
-                v *= _ADAM_BETA2
-                v += (1.0 - _ADAM_BETA2) * g * g
-                arr -= lr * (m / correction1) / (np.sqrt(v / correction2) + _ADAM_EPS)
+        self.m *= _ADAM_BETA1
+        self.m += (1.0 - _ADAM_BETA1) * grad
+        self.v *= _ADAM_BETA2
+        self.v += (1.0 - _ADAM_BETA2) * grad * grad
+        params.flat -= lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + _ADAM_EPS)
 
 
 def step(
@@ -182,42 +184,32 @@ def step(
     epoch: int = -1,
     batch_index: int = -1,
 ) -> dict:
-    """One optimizer step on the phase objective; returns the loss parts."""
-    if len(x_batch) != len(params.modalities):
-        raise ShapeError(f"{len(x_batch)} feature blocks for {len(params.modalities)} encoders")
+    """One optimizer step on the phase objective; returns the loss parts.
+
+    Each encoder runs forward once; backward reuses those activations, and
+    the modality gradients join into one vector laid out like params.flat.
+    """
+    mods = params.modalities
+    if len(x_batch) != len(mods):
+        raise ShapeError(f"{len(x_batch)} feature blocks for {len(mods)} encoders")
     if y_batch.shape[0] == 0:
         raise ShapeError("empty batch")
 
-    codes = [encode(mod, x) for mod, x in zip(params.modalities, x_batch)]
-    batch = BatchCodes(codes, y_batch)
-
-    if phase == WARMUP:
-        center_value, grads = losses.cal_loss(batch, centers, config.loss)
-    elif phase == SELFPACED:
-        if weights is None:
-            raise ParameterError("self-paced phase requires sample weights")
-        center_value, grads = losses.nsh_loss(batch, centers, weights, config.loss)
-    else:
-        raise ParameterError(f"unknown phase {phase!r}")
-
-    contrastive_value = None
-    if config.loss.alpha > 0:
-        contrastive_value, c_grads = losses.chl_loss(batch, config.loss)
-        grads = [g + config.loss.alpha * cg for g, cg in zip(grads, c_grads)]
-
-    total = center_value
-    if contrastive_value is not None:
-        total += config.loss.alpha * contrastive_value
+    acts = [forward(mod, x) for mod, x in zip(mods, x_batch)]
+    batch = BatchCodes([codes for _, codes in acts], y_batch)
+    center, contrastive, code_grads = losses.total_loss(phase, batch, centers, weights, config.loss)
+    total = center if contrastive is None else center + config.loss.alpha * contrastive
     if not np.isfinite(total):
         raise TrainingDivergedError(
             f"non-finite loss {total} at epoch {epoch}, batch {batch_index}", epoch, batch_index
         )
 
-    param_grads = [
-        backward(mod, x, g) for mod, x, g in zip(params.modalities, x_batch, grads)
-    ]
-    opt_state.apply(params, param_grads, config.learning_rate)
-    return {"total": total, "contrastive": contrastive_value, "center": center_value}
+    grad = np.concatenate([
+        backward(mod, x, hidden, codes, g)
+        for mod, x, (hidden, codes), g in zip(mods, x_batch, acts, code_grads)
+    ])
+    opt_state.apply(params, grad, config.learning_rate)
+    return {"total": total, "contrastive": contrastive, "center": center}
 
 
 def _full_train_losses(

@@ -92,3 +92,35 @@ def max_relative_error(analytic, numeric) -> float:
         scale = max(np.abs(a).max(initial=0.0), np.abs(n).max(initial=0.0), 1e-8)
         worst = max(worst, float(np.abs(a - n).max(initial=0.0) / scale))
     return worst
+
+
+class NestedOptimizer:
+    """SGD / adaptive moments with one moment array per parameter array.
+
+    ``params`` and ``grads`` are nested lists, one list of arrays per
+    modality; every array is updated in place by its own loop iteration.
+    """
+
+    def __init__(self, kind: str, params):
+        self.kind = kind
+        self.step_count = 0
+        self.m = [[np.zeros_like(a) for a in mod] for mod in params]
+        self.v = [[np.zeros_like(a) for a in mod] for mod in params]
+
+    def apply(self, params, grads, lr: float) -> None:
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        if self.kind == "sgd":
+            for mod, grad in zip(params, grads):
+                for arr, g in zip(mod, grad):
+                    arr -= lr * g
+            return
+        self.step_count += 1
+        correction1 = 1.0 - beta1**self.step_count
+        correction2 = 1.0 - beta2**self.step_count
+        for mod, grad, ms, vs in zip(params, grads, self.m, self.v):
+            for arr, g, m, v in zip(mod, grad, ms, vs):
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g * g
+                arr -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)

@@ -6,6 +6,7 @@ benchmark below with the library's default configuration; the seed is fixed
 and recorded here.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from oracles import (
 from sphash import evaluator, losses
 from sphash.cli import main as cli_main
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, one_hot, split
-from sphash.encoder import backward, encode, init_centers, init_params
+from sphash.encoder import backward, encode, forward, init_centers, init_params
 from sphash.fileio import load_checkpoint
 from sphash.losses import BatchCodes, LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights, gamma_bounds, optimal_weight
@@ -172,6 +173,10 @@ def test_criterion_3_gradient_checks():
         numeric = central_difference_grads(lambda: fn(batch)[0], batch.codes, step=1e-4)
         return max_relative_error(analytic, numeric)
 
+    def objective(parts, cfg):
+        center, contrastive, grads = parts  # alpha > 0: the contrastive term is evaluated
+        return center + cfg.alpha * contrastive, grads
+
     worst = 0.0
     for _ in range(20):
         batch, centers, weights, cfg = random_case()
@@ -180,19 +185,24 @@ def test_criterion_3_gradient_checks():
         worst = max(worst, check(lambda bt: losses.nsh_loss(bt, centers, weights, cfg), batch))
         worst = max(
             worst,
-            check(lambda bt: losses.total_loss("selfpaced", bt, centers, weights, cfg), batch),
+            check(lambda bt: objective(losses.total_loss("selfpaced", bt, centers, weights, cfg),
+                                       cfg), batch),
         )
 
     for trial in range(20):
-        params = init_params((3,), 4, 2, seed=trial).modalities[0]
+        params = init_params((3,), 4, 2, seed=trial)
+        mod = params.modalities[0]
         x = rng.normal(size=(5, 3))
         upstream = rng.normal(size=(5, 2))
-        analytic = list(backward(params, x, upstream).arrays())
+        # the gradient vector shares the weights' layout, so the same views split it
+        grad = dataclasses.replace(params, flat=backward(mod, x, *forward(mod, x), upstream))
+        g = grad.modalities[0]
         numeric = central_difference_grads(
-            lambda: float((upstream * encode(params, x)).sum()),
-            list(params.arrays()),
+            lambda: float((upstream * encode(mod, x)).sum()),
+            [mod.w1, mod.b1, mod.w2, mod.b2],
             step=1e-4,
         )
+        analytic = [g.w1, g.b1, g.w2, g.b2]
         worst = max(worst, max_relative_error(analytic, numeric))
 
     seconds = time.monotonic() - started

@@ -272,6 +272,21 @@ class TestInputErrors:
         code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_gen_data_with_three_modalities_exit_2(self, tmp_path):
+        args = [a if a != "10,8" else "10,8,6" for a in GEN_ARGS]
+        args[args.index("--m") + 1] = "3"
+        assert main(args + ["--out", str(tmp_path / "d")]) == 2
+
+    def test_three_modality_dataset_exit_3(self, dataset_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        shutil.copy(data / "modality_1.fmat", data / "modality_2.fmat")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["modalities"].append("modality_2.fmat")
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 3
+
     def test_run_manifest_written_atomically(self, tmp_path, monkeypatch):
         written = []
         real = cli_module.atomic_write

@@ -39,6 +39,17 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError):
             SynthSpec(n=10, k=2, m=2, dims=(8, 8), intra_noise_std=0.0)
 
+    def test_rejects_modality_counts_other_than_two(self):
+        for m, dims in ((1, (8,)), (3, (8, 8, 8))):
+            with pytest.raises(ParameterError):
+                SynthSpec(n=10, k=2, m=m, dims=dims)
+
+    def test_validate_rejects_a_third_modality(self):
+        ds = generate_synthetic(small_spec())
+        ds.modalities.append(ds.modalities[1].copy())
+        with pytest.raises(ParameterError):
+            ds.validate()
+
     def test_deterministic_per_seed(self):
         a = generate_synthetic(small_spec())
         b = generate_synthetic(small_spec())

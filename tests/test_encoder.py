@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import central_difference_grads, max_relative_error
 from sphash.encoder import (
+    HashEncoderParams,
     ModalityParams,
     backward,
     binarize,
     encode,
+    flat_size,
+    forward,
     init_centers,
     init_params,
 )
@@ -105,40 +110,84 @@ class TestInitParams:
             init_params((0,), 4, 2, seed=0)
 
 
+class TestFlatLayout:
+    def test_views_tile_the_flat_vector_in_order(self):
+        params = init_params((9, 5), hidden_dim=7, code_length=3, seed=1)
+        assert params.flat.shape == (flat_size((9, 5), 7, 3),)
+        pieces = [a for mod in params.modalities for a in (mod.w1, mod.b1, mod.w2, mod.b2)]
+        assert [a.shape for a in pieces[:4]] == [(9, 7), (7,), (7, 3), (3,)]
+        offset = 0
+        for a in pieces:
+            assert np.shares_memory(a, params.flat)
+            assert a.ctypes.data == params.flat[offset:].ctypes.data
+            offset += a.size
+        assert offset == params.flat.size
+
+    def test_writing_flat_moves_every_encoder(self):
+        params = init_params((4, 3), 5, 2, seed=2)
+        x = np.ones((2, 4))
+        params.flat[:] = 0.0
+        assert not encode(params.modalities[0], x).any()
+
+    def test_rejects_wrong_flat_length(self):
+        with pytest.raises(ShapeError):
+            HashEncoderParams(np.zeros(flat_size((4,), 5, 2) + 1), (4,), 5, 2)
+
+
+class TestForward:
+    def test_codes_equal_encode_and_hidden_is_first_layer(self):
+        mod = init_params((4,), 8, 3, seed=5).modalities[0]
+        x = np.random.default_rng(7).normal(size=(6, 4))
+        hidden, codes = forward(mod, x)
+        assert codes.tobytes() == encode(mod, x).tobytes()
+        assert hidden.tobytes() == np.tanh(x @ mod.w1 + mod.b1).tobytes()
+
+
+def modality_grads(params, grad):
+    """(w1, b1, w2, b2) of modality 0 from a vector laid out like params.flat."""
+    mod = dataclasses.replace(params, flat=grad).modalities[0]
+    return [mod.w1, mod.b1, mod.w2, mod.b2]
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        params = init_params((3,), 4, 2, seed=0).modalities[0]
-        grads = backward(params, np.ones((5, 3)), np.zeros((5, 2)))
-        assert all(not g.any() for g in grads.arrays())
+        mod = init_params((3,), 4, 2, seed=0).modalities[0]
+        x = np.ones((5, 3))
+        grads = backward(mod, x, *forward(mod, x), np.zeros((5, 2)))
+        assert not grads.any()
 
     def test_linear_in_upstream(self):
-        params = init_params((3,), 4, 2, seed=0).modalities[0]
+        mod = init_params((3,), 4, 2, seed=0).modalities[0]
         x = np.random.default_rng(4).normal(size=(5, 3))
         g = np.random.default_rng(5).normal(size=(5, 2))
-        single = backward(params, x, g)
-        double = backward(params, x, 2.0 * g)
-        for a, b in zip(single.arrays(), double.arrays()):
-            assert np.allclose(2.0 * a, b)
+        single = backward(mod, x, *forward(mod, x), g)
+        double = backward(mod, x, *forward(mod, x), 2.0 * g)
+        assert np.allclose(2.0 * single, double)
 
     def test_matches_central_differences(self):
         # loss = sum of code components on a 5x3 -> 4 -> 2 instance
         rng = np.random.default_rng(6)
         for trial in range(5):
-            params = init_params((3,), 4, 2, seed=trial).modalities[0]
+            params = init_params((3,), 4, 2, seed=trial)
+            mod = params.modalities[0]
             x = rng.normal(size=(5, 3))
             upstream = np.ones((5, 2))
-            analytic = list(backward(params, x, upstream).arrays())
+            analytic = modality_grads(params, backward(mod, x, *forward(mod, x), upstream))
             numeric = central_difference_grads(
-                lambda: float(encode(params, x).sum()),
-                list(params.arrays()),
+                lambda: float(encode(mod, x).sum()),
+                [mod.w1, mod.b1, mod.w2, mod.b2],
                 step=1e-4,
             )
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_shape_mismatch(self):
-        params = init_params((3,), 4, 2, seed=0).modalities[0]
+        mod = init_params((3,), 4, 2, seed=0).modalities[0]
+        x = np.ones((5, 3))
+        hidden, codes = forward(mod, x)
         with pytest.raises(ShapeError):
-            backward(params, np.ones((5, 3)), np.zeros((5, 3)))
+            backward(mod, x, hidden, codes, np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            backward(mod, x, hidden[:, :3], codes, np.zeros((5, 2)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,6 +159,21 @@ class TestCheckpoint:
         # and the quantized encoder stays close to the original
         assert np.allclose(c1, encode(params.modalities[0], x), atol=1e-6)
 
+    def test_weight_block_is_per_array_f4_in_layout_order(self, tmp_path):
+        params, centers = self.make()
+        path = tmp_path / "c.bin"
+        save_checkpoint(params, centers, path)
+        expected = b"".join(
+            np.ascontiguousarray(a).astype("<f4").tobytes()
+            for mod in params.modalities
+            for a in (mod.w1, mod.b1, mod.w2, mod.b2)
+        )
+        raw = path.read_bytes()
+        header = 24 + 16 + 8 * len(params.dims) + centers.size
+        assert len(raw) == header + len(expected)
+        assert raw[header:] == expected
+        assert raw[header:] == params.flat.astype("<f4").tobytes()
+
     def test_magic_and_corruption(self, tmp_path):
         params, centers = self.make()
         path = tmp_path / "c.bin"

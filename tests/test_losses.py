@@ -346,17 +346,41 @@ class TestNshLoss:
             nsh_loss(batch, centers, SampleWeights(np.ones(5), 1.0), LossConfig())
 
 
+def objective(parts, cfg):
+    """(value, code grads) of center + alpha * contrastive from total_loss's parts."""
+    center, contrastive, grads = parts
+    return center + cfg.alpha * (contrastive or 0.0), grads
+
+
 class TestTotalLoss:
     def test_alpha_zero_degenerates(self):
         rng = np.random.default_rng(19)
         batch = random_batch(rng, b=4, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=17)
         cfg = LossConfig(alpha=0.0)
-        warm, _ = total_loss("warmup", batch, centers, None, cfg)
+        warm, contrastive, _ = total_loss("warmup", batch, centers, None, cfg)
+        assert contrastive is None
         assert warm == cal_loss(batch, centers, cfg)[0]
         weights = SampleWeights(np.full(4, 0.5), gamma=1.1)
-        paced, _ = total_loss("selfpaced", batch, centers, weights, cfg)
+        paced, contrastive, _ = total_loss("selfpaced", batch, centers, weights, cfg)
+        assert contrastive is None
         assert paced == nsh_loss(batch, centers, weights, cfg)[0]
+
+    def test_parts_are_the_phase_kernels(self):
+        rng = np.random.default_rng(24)
+        batch = random_batch(rng, b=4, m=2, length=4, k=3)
+        centers = init_centers(3, 4, seed=22)
+        cfg = LossConfig(alpha=0.3)
+        weights = SampleWeights(np.array([0.0, 0.4, 1.0, 0.7]), gamma=1.2)
+        contrastive, c_grads = chl_loss(batch, cfg)
+        for phase, (center, grads) in (
+            ("warmup", cal_loss(batch, centers, cfg)),
+            ("selfpaced", nsh_loss(batch, centers, weights, cfg)),
+        ):
+            parts = total_loss(phase, batch, centers, weights, cfg)
+            assert parts[:2] == (center, contrastive)
+            for got, g, cg in zip(parts[2], grads, c_grads):
+                assert got.tobytes() == (g + cfg.alpha * cg).tobytes()
 
     def test_warmup_minus_selfpaced_is_half_gamma_at_unit_weights(self):
         rng = np.random.default_rng(20)
@@ -364,9 +388,9 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=18)
         cfg = LossConfig(alpha=0.7)
         gamma = 1.4
-        warm, _ = total_loss("warmup", batch, centers, None, cfg)
-        paced, _ = total_loss(
-            "selfpaced", batch, centers, SampleWeights(np.ones(4), gamma), cfg
+        warm, _ = objective(total_loss("warmup", batch, centers, None, cfg), cfg)
+        paced, _ = objective(
+            total_loss("selfpaced", batch, centers, SampleWeights(np.ones(4), gamma), cfg), cfg
         )
         assert np.isclose(warm - paced, gamma / 2.0, atol=1e-12)
 
@@ -376,8 +400,10 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=19)
         cfg = LossConfig(alpha=1.2, tau=0.6)
         weights = SampleWeights(np.array([0.2, 0.8, 1.0]), gamma=1.0)
-        code_grad_check(lambda b: total_loss("warmup", b, centers, None, cfg), batch)
-        code_grad_check(lambda b: total_loss("selfpaced", b, centers, weights, cfg), batch)
+        code_grad_check(lambda b: objective(total_loss("warmup", b, centers, None, cfg), cfg), batch)
+        code_grad_check(
+            lambda b: objective(total_loss("selfpaced", b, centers, weights, cfg), cfg), batch
+        )
 
     def test_unknown_phase(self):
         rng = np.random.default_rng(22)

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from oracles import NestedOptimizer
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
@@ -11,6 +12,7 @@ from sphash.losses import SELFPACED, WARMUP, LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights
 from sphash.seeding import stable_seed
 from sphash.trainer import (
+    OPTIMIZERS,
     TrainConfig,
     _OptimizerState,
     resolve_config,
@@ -92,15 +94,41 @@ class TestConfigValidation:
             resolve_config(tiny_config(pace=PaceSchedule("fixed", gamma_start=3.0)), 2)
 
 
+class TestOptimizer:
+    @pytest.mark.parametrize("kind", OPTIMIZERS)
+    def test_flat_update_matches_nested_reference(self, kind):
+        params = init_params((7, 4), hidden_dim=6, code_length=5, seed=11)
+        nested = [[a.copy() for a in (m.w1, m.b1, m.w2, m.b2)] for m in params.modalities]
+        flat_opt, ref_opt = _OptimizerState(kind, params), NestedOptimizer(kind, nested)
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            grad = rng.normal(size=params.flat.shape) * rng.uniform(0.01, 10.0)
+            assert grad.all()
+            flat_opt.apply(params, grad, 0.05)
+            ref_opt.apply(nested, split_like(grad, nested), 0.05)
+            reference = np.concatenate([a.ravel() for mod in nested for a in mod])
+            assert params.flat.tobytes() == reference.tobytes()
+
+
+def split_like(vector, nested):
+    """Cut a flat vector into arrays shaped like nested, in order."""
+    out, offset = [], 0
+    for mod in nested:
+        out.append([])
+        for a in mod:
+            out[-1].append(vector[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
+    return out
+
+
 class TestStep:
     def test_zero_learning_rate_keeps_params(self):
         params, centers, x, y = step_inputs()
         cfg = tiny_config(learning_rate=0.0)
         opt = _OptimizerState(cfg.optimizer, params)
-        before = [a.copy() for mod in params.modalities for a in mod.arrays()]
+        before = params.flat.copy()
         step(params, centers, x, y, WARMUP, None, cfg, opt)
-        after = [a for mod in params.modalities for a in mod.arrays()]
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert np.array_equal(before, params.flat)
 
     def test_identical_states_give_identical_updates(self):
         params1, centers, x, y = step_inputs()
@@ -111,19 +139,16 @@ class TestStep:
         r1 = step(params1, centers, x, y, WARMUP, None, cfg, opt1)
         r2 = step(params2, centers, x, y, WARMUP, None, cfg, opt2)
         assert r1 == r2
-        for m1, m2 in zip(params1.modalities, params2.modalities):
-            for a, b in zip(m1.arrays(), m2.arrays()):
-                assert a.tobytes() == b.tobytes()
+        assert params1.flat.tobytes() == params2.flat.tobytes()
 
     def test_all_zero_weights_and_no_contrast_is_noop_under_sgd(self):
         params, centers, x, y = step_inputs()
         cfg = tiny_config(optimizer="sgd", loss=LossConfig(alpha=0.0))
         opt = _OptimizerState("sgd", params)
         weights = SampleWeights(np.zeros(x[0].shape[0]), gamma=1.0)
-        before = [a.copy() for mod in params.modalities for a in mod.arrays()]
+        before = params.flat.copy()
         step(params, centers, x, y, SELFPACED, weights, cfg, opt)
-        after = [a for mod in params.modalities for a in mod.arrays()]
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert np.array_equal(before, params.flat)
 
     def test_zero_weight_instance_contributes_no_data_gradient(self):
         # sgd deltas scaled by batch size must coincide with the instance dropped
@@ -144,10 +169,9 @@ class TestStep:
             cfg,
             _OptimizerState("sgd", params2),
         )
-        for ref, m1, m2 in zip(reference.modalities, params1.modalities, params2.modalities):
-            for r, a, b in zip(ref.arrays(), m1.arrays(), m2.arrays()):
-                # regularizer is weight-only, so deltas are pure data gradients
-                assert np.allclose((a - r) * 6, (b - r) * 5, atol=1e-12)
+        # regularizer is weight-only, so deltas are pure data gradients
+        r, a, b = reference.flat, params1.flat, params2.flat
+        assert np.allclose((a - r) * 6, (b - r) * 5, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_raises_with_context(self):
