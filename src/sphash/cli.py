@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -39,7 +38,7 @@ from .errors import (
     SphashError,
     TrainingDivergedError,
 )
-from .fileio import atomic_write, load_checkpoint, read_dataset, write_dataset
+from .fileio import load_checkpoint, read_dataset, write_csv, write_dataset, write_json
 from .losses import LossConfig
 from .pacer import PaceSchedule
 from .seeding import stable_seed
@@ -184,35 +183,18 @@ def _train_config(args) -> trainer.TrainConfig:
     )
 
 
-def _config_to_json(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _config_to_json(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _config_to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_config_to_json(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
-
-
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
                         artifacts: list, started: float, argv) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
-        "config": _config_to_json(config),
+        "config": config,
         "seed": int(seed),
         "artifacts": sorted(str(a) for a in artifacts),
         "tool_version": __version__,
         "duration_seconds": round(time.time() - started, 3),
     }
-    atomic_write(
-        out_dir / "run_manifest.json",
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
-    )
+    write_json(out_dir / "run_manifest.json", manifest)
 
 
 def _load_splits(manifest: dict, dataset: MultiModalDataset):
@@ -262,13 +244,14 @@ def _run_training(dataset, manifest: dict, config: trainer.TrainConfig, out: Pat
     train_ds, val_ds, test_ds = _load_splits(manifest, dataset)
     report = trainer.train(train_ds, val_ds, config, out)
     trainer.write_report_csv(report, out / "report.csv")
-    evaluator.write_map_curve_csv(
+    write_csv(
+        out / "map_curve.csv",
+        ("epoch", "map_i2t", "map_t2i"),
         [
             (rec.epoch, rec.val_map_i2t, rec.val_map_t2i)
             for rec in report.records
             if rec.val_map_i2t is not None
         ],
-        out / "map_curve.csv",
     )
     trainer.write_weight_log_csv(report, train_ds, out / "weights.csv")
     return report, (train_ds, val_ds, test_ds)
@@ -291,16 +274,31 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _final_weight_dump(weights_csv: Path):
-    """Weights of the last dumped epoch: (instance_index array, weight array)."""
-    with open(weights_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        return None
-    last_epoch = max(int(row["epoch"]) for row in rows)
-    final = [row for row in rows if int(row["epoch"]) == last_epoch]
-    idx = np.array([int(row["instance_index"]) for row in final])
-    weights = np.array([float(row["weight"]) for row in final])
+def _final_weight_dump(weights_csv: Path, n_instances: int):
+    """Weights of the last dumped epoch: (instance_index array, weight array).
+
+    None when the dump has no rows. A file that does not parse as a weight
+    dump raises FormatError; an index outside the dataset's n_instances
+    raises CompatibilityError.
+    """
+    try:
+        with open(weights_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if not rows:
+            return None
+        epochs = [int(row["epoch"]) for row in rows]
+        last_epoch = max(epochs)
+        final = [row for row, epoch in zip(rows, epochs) if epoch == last_epoch]
+        idx = np.array([int(row["instance_index"]) for row in final])
+        weights = np.array([float(row["weight"]) for row in final])
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise FormatError(f"{weights_csv}: not a weight dump ({exc!r})") from exc
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):
+        raise FormatError(f"{weights_csv}: weight outside [0, 1]")
+    if idx.min() < 0 or idx.max() >= n_instances:
+        raise CompatibilityError(
+            f"{weights_csv}: instance index outside the dataset's {n_instances} instances"
+        )
     return idx, weights
 
 
@@ -321,11 +319,10 @@ def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int
         map_rows.append((direction, score))
         print(f"map_{direction} {score:.4f}")
         points = evaluator.pr_curve(task, pr_points)
-        evaluator.write_pr_csv(points, out / f"pr_{direction}.csv")
+        pr_rows = [(p.x, p.y) for p in points]
+        write_csv(out / f"pr_{direction}.csv", ("recall", "precision"), pr_rows)
         artifacts.append(f"pr_{direction}.csv")
-    (out / "map.csv").write_text(
-        "direction,map\n" + "\n".join(f"{d},{v:.6f}" for d, v in map_rows) + "\n"
-    )
+    write_csv(out / "map.csv", ("direction", "map"), map_rows)
     return artifacts + ["map.csv"]
 
 
@@ -354,15 +351,17 @@ def cmd_eval(args) -> int:
     if weights_csv and not weights_csv.exists():
         raise FileNotFoundError(f"weight dump {weights_csv} does not exist")
     if weights_csv and dataset.noise_mask.any():
-        dump = _final_weight_dump(weights_csv)
+        dump = _final_weight_dump(weights_csv, dataset.n)
         if dump is not None:
             idx, weights = dump
             score = evaluator.noise_detection_score(weights, dataset.noise_mask[idx])
-            (out / "noise_detection.json").write_text(
-                json.dumps(dataclasses.asdict(score), indent=2, sort_keys=True) + "\n"
-            )
-            evaluator.write_weight_histogram_csv(
-                evaluator.weight_density(weights, bins=20), out / "weights_histogram.csv"
+            write_json(out / "noise_detection.json", score)
+            histogram = evaluator.weight_density(weights, bins=20)
+            edges = histogram.edges.tolist()
+            write_csv(
+                out / "weights_histogram.csv",
+                ("bin_left", "bin_right", "density"),
+                zip(edges[:-1], edges[1:], histogram.masses.tolist()),
             )
             artifacts += ["noise_detection.json", "weights_histogram.csv"]
 
@@ -394,19 +393,19 @@ def cmd_sweep(args) -> int:
                     cells[(noise, bits, variant)] = None
                     failed = True
 
-    header = ["variant"]
+    columns = ["variant"]
     for noise in args.noise_rates:
         for bits in args.bits:
-            header += [f"i2t_n{noise}_b{bits}", f"t2i_n{noise}_b{bits}"]
-    lines = [",".join(header)]
+            columns += [f"i2t_n{noise}_b{bits}", f"t2i_n{noise}_b{bits}"]
+    rows = []
     for variant in args.variants:
         row = [variant]
         for noise in args.noise_rates:
             for bits in args.bits:
                 cell = cells[(noise, bits, variant)]
-                row += ["error", "error"] if cell is None else [f"{cell[0]:.6f}", f"{cell[1]:.6f}"]
-        lines.append(",".join(row))
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+                row += ["error", "error"] if cell is None else list(cell)
+        rows.append(row)
+    write_csv(out / "aggregate.csv", columns, rows)
 
     grid = {
         "noise_rates": args.noise_rates,

@@ -234,9 +234,9 @@ def split(
     Global sizes are round(frac*N) for train and val; per-class allocations
     stay within one instance of exact proportionality.
     """
-    if train_frac <= 0 or val_frac <= 0:
+    if not (train_frac > 0 and val_frac > 0):  # written so that NaN fails too
         raise ParameterError("split fractions must be positive")
-    if train_frac + val_frac >= 1.0:
+    if not train_frac + val_frac < 1.0:
         raise ParameterError(
             f"train_frac + val_frac = {train_frac + val_frac} leaves no test split"
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -84,14 +83,6 @@ def cross_modal_tasks(
         RetrievalTask(query_codes[0], query_labels, gallery_codes[1], gallery_labels, "I2T"),
         RetrievalTask(query_codes[1], query_labels, gallery_codes[0], gallery_labels, "T2I"),
     )
-
-
-def average_precision(relevance: np.ndarray) -> float:
-    """AP of one ranked 0/1 relevance list; 0.0 when nothing is relevant."""
-    relevance = np.asarray(relevance)
-    if relevance.ndim != 1 or relevance.size == 0:
-        raise ShapeError("relevance must be a non-empty 1-d list")
-    return float(kernels.ap_scores(relevance[None, :])[0])
 
 
 def mean_average_precision(task: RetrievalTask) -> float:
@@ -195,12 +186,6 @@ class WeightHistogram:
     edges: np.ndarray   # (bins + 1,)
     masses: np.ndarray  # (bins,), sums to 1
 
-    def rows(self):
-        return [
-            (float(self.edges[i]), float(self.edges[i + 1]), float(self.masses[i]))
-            for i in range(len(self.masses))
-        ]
-
 
 def weight_density(weights, bins: int) -> WeightHistogram:
     """Normalized histogram of weights over [0, 1]."""
@@ -211,22 +196,3 @@ def weight_density(weights, bins: int) -> WeightHistogram:
         raise ParameterError("cannot histogram an empty weight vector")
     counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
     return WeightHistogram(edges, counts / values.size)
-
-
-def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    lines += [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_pr_csv(points: list[CurvePoint], path) -> None:
-    _write_csv(path, "recall,precision", [(p.x, p.y) for p in points])
-
-
-def write_map_curve_csv(rows, path) -> None:
-    """rows: iterable of (epoch, map_i2t, map_t2i)."""
-    _write_csv(path, "epoch,map_i2t,map_t2i", [(int(e), float(a), float(b)) for e, a, b in rows])
-
-
-def write_weight_histogram_csv(histogram: WeightHistogram, path) -> None:
-    _write_csv(path, "bin_left,bin_right,density", histogram.rows())

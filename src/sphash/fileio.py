@@ -7,12 +7,19 @@ the header layout with its own magic and a payload of one byte per entry in
 {0,1}. A dataset is a directory of these files tied together by a JSON
 manifest; a model checkpoint is a single binary with its own magic.
 
-All writes go through a temp file plus rename so readers never see a partial
-file.
+Text artifacts follow one rule each. CSV (``write_csv``): a header line of
+column names, one line per row and a trailing newline; a cell is empty for
+None, six decimals for a float and ``str`` of anything else. JSON
+(``write_json``): two-space indent, sorted keys and a trailing newline, with
+dataclasses, numpy scalars and paths converted.
+
+Every artifact, binary or text, is written to a temp file beside its target
+and renamed over it, so readers never see a partial file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -46,6 +53,37 @@ def atomic_write(path: Path, payload: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):  # np.float64 included: it subclasses float
+        return f"{value:.6f}"
+    return str(value)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header of ``columns`` and one line per row of cells."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+
+
+def _json_default(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented, key-sorted JSON with a trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    atomic_write(Path(path), (text + "\n").encode())
 
 
 def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int]:
@@ -144,7 +182,7 @@ def write_dataset(
     if split_spec is not None:
         manifest["split"] = dict(split_spec)
     path = out_dir / MANIFEST_NAME
-    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    write_json(path, manifest)
     return path
 
 

@@ -51,21 +51,14 @@ class LossConfig:
     tau: float = 1.0
     r: float = 0.5
     alpha: float = 0.002
-    # separate robustness factor for the contrastive term; None shares r
-    r_contrastive: float | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ParameterError(f"temperature tau={self.tau} must be positive")
-        for name, value in (("r", self.r), ("r_contrastive", self.r_contrastive)):
-            if value is not None and not 0.0 < value <= 1.0:
-                raise ParameterError(f"weight factor {name}={value} outside (0, 1]")
-        if self.alpha < 0:
+        if not 0.0 < self.r <= 1.0:
+            raise ParameterError(f"weight factor r={self.r} outside (0, 1]")
+        if not self.alpha >= 0:  # written so that NaN fails too
             raise ParameterError(f"alpha={self.alpha} must be non-negative")
-
-    @property
-    def r_chl(self) -> float:
-        return self.r if self.r_contrastive is None else self.r_contrastive
 
 
 @dataclass
@@ -134,28 +127,13 @@ def _instance_softmax(batch: BatchCodes, cfg: LossConfig):
     return p, pos, q
 
 
-def instance_prob(batch: BatchCodes, i: int, m: int, cfg: LossConfig) -> float:
-    """Probability that modality m's code of instance i matches instance i.
-
-    Numerator sums the match scores across all modalities (self included);
-    denominator sums over every code in the batch.
-    """
-    if not 0 <= i < batch.batch_size:
-        raise ShapeError(f"instance index {i} outside batch of {batch.batch_size}")
-    if not 0 <= m < batch.n_modalities:
-        raise ShapeError(f"modality index {m} outside {batch.n_modalities} modalities")
-    _, _, q = _instance_softmax(batch, cfg)
-    return float(q[m * batch.batch_size + i])
-
-
 def chl_loss(batch: BatchCodes, cfg: LossConfig) -> tuple[float, list[np.ndarray]]:
     """Contrastive value and its gradients w.r.t. every modality's codes."""
     b = batch.batch_size
-    r = cfg.r_chl
     p, pos, q = _instance_softmax(batch, cfg)
-    value = float(gce_terms(q, r).sum() / b)
+    value = float(gce_terms(q, cfg.r).sum() / b)
 
-    coeff = gce_grad(q, r) / b
+    coeff = gce_grad(q, cfg.r) / b
     g = coeff[:, None] * p * (pos - q[:, None])
     grad_stacked = (g + g.T) @ np.vstack(batch.codes) / cfg.tau
     grads = [grad_stacked[m * b : (m + 1) * b] for m in range(batch.n_modalities)]
@@ -169,24 +147,6 @@ def center_probs(codes: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarr
     if codes.shape[1] != centers.shape[1]:
         raise ShapeError(f"code length {codes.shape[1]} != center length {centers.shape[1]}")
     return _row_softmax(codes @ centers.T / tau)
-
-
-def center_prob(code: np.ndarray, centers: np.ndarray, k: int, cfg: LossConfig) -> float:
-    """Probability that one code belongs to the k-th hash center."""
-    if not 0 <= k < centers.shape[0]:
-        raise ShapeError(f"center index {k} outside {centers.shape[0]} centers")
-    return float(center_probs(code, centers, cfg.tau)[0, k])
-
-
-def aggregation_prob(
-    code: np.ndarray, centers: np.ndarray, label_row: np.ndarray, cfg: LossConfig
-) -> float:
-    """Probability mass on the labeled classes' centers: v = sum_k y_k p_k."""
-    label_row = np.asarray(label_row, dtype=np.float64)
-    if label_row.sum() == 0:
-        raise LabelError("label row has no class set")
-    p = center_probs(code, centers, cfg.tau)[0]
-    return float(np.clip(label_row @ p, 0.0, 1.0))
 
 
 def _aggregation_matrix(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig):

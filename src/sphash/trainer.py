@@ -43,7 +43,7 @@ from .encoder import (
     init_params,
 )
 from .errors import ParameterError, ShapeError, TrainingDivergedError
-from .fileio import save_checkpoint
+from .fileio import save_checkpoint, write_csv
 from .losses import SELFPACED, WARMUP, BatchCodes, LossConfig
 from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
@@ -82,7 +82,7 @@ class TrainConfig:
             raise ParameterError(
                 f"need 0 <= warmup_epochs < max_epochs, got {self.warmup_epochs}/{self.max_epochs}"
             )
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # written so that NaN fails too
             raise ParameterError("learning_rate must be non-negative")
         if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
@@ -352,39 +352,10 @@ def train(
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
 def write_report_csv(report: TrainReport, path) -> None:
-    """One row per epoch; empty cells where a column does not apply."""
-    header = (
-        "epoch,phase,loss_total,loss_contrastive,loss_center,"
-        "gamma,zero_weight_count,val_map_i2t,val_map_t2i"
-    )
-    lines = [header]
-    for rec in report.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rec.epoch,
-                    rec.phase,
-                    rec.loss_total,
-                    rec.loss_contrastive,
-                    rec.loss_center,
-                    rec.gamma,
-                    rec.zero_weight_count,
-                    rec.val_map_i2t,
-                    rec.val_map_t2i,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per epoch, one column per EpochRecord field; empty where it does not apply."""
+    columns = [f.name for f in dataclasses.fields(EpochRecord)]
+    write_csv(path, columns, [dataclasses.astuple(rec) for rec in report.records])
 
 
 def write_weight_log_csv(report: TrainReport, train_ds: MultiModalDataset, path) -> None:
@@ -392,11 +363,16 @@ def write_weight_log_csv(report: TrainReport, train_ds: MultiModalDataset, path)
     rows = train_ds.source_rows
     if rows is None:
         rows = np.arange(train_ds.n)
-    noisy = train_ds.noise_mask.astype(int)
-    lines = ["epoch,instance_index,loss,weight,is_noisy_ground_truth"]
-    for snap in report.weight_log:
-        for i in range(len(snap.weights)):
-            lines.append(
-                f"{snap.epoch},{rows[i]},{snap.losses[i]:.6f},{snap.weights[i]:.6f},{noisy[i]}"
+    # plain Python scalars: the cell rule formats them faster than numpy ones
+    rows, noisy = rows.tolist(), train_ds.noise_mask.astype(int).tolist()
+    write_csv(
+        path,
+        ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth"),
+        (
+            (snap.epoch, row, loss, weight, is_noisy)
+            for snap in report.weight_log
+            for row, loss, weight, is_noisy in zip(
+                rows, snap.losses.tolist(), snap.weights.tolist(), noisy
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+        ),
+    )

@@ -1,10 +1,12 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sphash.cli as cli_module
+import sphash.fileio as fileio
 from sphash.cli import _list_of, main
 from sphash.errors import TrainingDivergedError
 from sphash.fileio import read_dataset
@@ -254,6 +256,19 @@ BAD_MANIFESTS = {
 }
 
 
+WEIGHT_HEADER = "epoch,instance_index,loss,weight,is_noisy_ground_truth\n"
+BAD_WEIGHT_DUMPS = {  # payload, expected exit code
+    "missing column": ("epoch,instance_index,loss\n2,0,0.5\n", 3),
+    "short row": (WEIGHT_HEADER + "2,0\n", 3),
+    "non-integer epoch": (WEIGHT_HEADER + "2.5,0,0.5,0.2,0\n", 3),
+    "unparsable weight": (WEIGHT_HEADER + "2,0,0.5,heavy,0\n", 3),
+    "weight above one": (WEIGHT_HEADER + "2,0,0.5,1.5,0\n", 3),
+    "nan weight": (WEIGHT_HEADER + "2,0,0.5,nan,0\n", 3),
+    "index past the dataset": (WEIGHT_HEADER + "2,99999,0.5,0.2,0\n", 5),
+    "negative index": (WEIGHT_HEADER + "2,-1,0.5,0.2,0\n", 5),
+}
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "payload", [b"{not json", b"[1, 2]", b'"n"', b"\xff\xfe", b'{"dims": ["a"]}'],
@@ -287,17 +302,51 @@ class TestInputErrors:
         code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train", "--alpha"), ("train", "--lr"), ("gen-data", "--train-frac"),
+         ("gen-data", "--val-frac")],
+    )
+    def test_nan_flag_exit_2(self, dataset_dir, tmp_path, command, flag):
+        args = GEN_ARGS if command == "gen-data" else TRAIN_ARGS + ["--data", str(dataset_dir)]
+        assert main(args + [flag, "nan", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHT_DUMPS))
+    def test_bad_weight_dump_typed_error(self, dataset_dir, train_dir, tmp_path, case):
+        payload, expected = BAD_WEIGHT_DUMPS[case]
+        weights = tmp_path / "weights.csv"
+        weights.write_bytes(payload.encode())
+        code = main(
+            ["eval", "--checkpoint", str(train_dir / "checkpoint.bin"), "--data", str(dataset_dir),
+             "--weights", str(weights), "--out", str(tmp_path / "out")]
+        )
+        assert code == expected
+
     def test_run_manifest_written_atomically(self, tmp_path, monkeypatch):
-        written = []
-        real = cli_module.atomic_write
+        """Every file each command leaves behind went through fileio.atomic_write."""
+        written = set()
+        real = fileio.atomic_write
 
         def recording(path, payload):
-            written.append(path.name)
+            written.add(path.resolve())
             real(path, payload)
 
-        monkeypatch.setattr(cli_module, "atomic_write", recording)
-        assert main(GEN_ARGS + ["--out", str(tmp_path)]) == 0
-        assert written == ["run_manifest.json"]
+        monkeypatch.setattr(fileio, "atomic_write", recording)
+        data, model = tmp_path / "data", tmp_path / "model"
+        runs = {
+            "gen-data": GEN_ARGS + ["--out", str(data)],
+            "train": TRAIN_ARGS + ["--data", str(data), "--out", str(model)],
+            "eval": ["eval", "--checkpoint", str(model / "checkpoint.bin"), "--data", str(data),
+                     "--weights", str(model / "weights.csv"), "--out", str(tmp_path / "eval")],
+            "sweep": SWEEP_ARGS + ["--out", str(tmp_path / "sweep")],
+        }
+        for command, argv in runs.items():
+            assert main(argv) == 0
+            out = Path(argv[argv.index("--out") + 1])
+            left = {path.resolve() for path in out.rglob("*") if path.is_file()}
+            assert "run_manifest.json" in {path.name for path in left}, command
+            assert left - written == set(), command
+        assert (tmp_path / "eval" / "noise_detection.json").exists()
 
 
 def test_list_parser_is_element_typed():

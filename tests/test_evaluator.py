@@ -10,15 +10,14 @@ from sphash.errors import ParameterError, ShapeError
 from sphash import kernels
 from sphash.evaluator import (
     RetrievalTask,
-    average_precision,
     cross_modal_tasks,
     mean_average_precision,
     noise_detection_score,
     pairwise_hamming,
     pr_curve,
     weight_density,
-    write_pr_csv,
 )
+from sphash.fileio import write_csv
 from sphash.pacer import SampleWeights
 
 pm_codes = arrays(
@@ -158,6 +157,11 @@ class TestRankOnce:
         assert i2t.query_labels is q_labels and t2i.gallery_labels is g_labels
 
 
+def average_precision(relevance) -> float:
+    """AP of one ranked relevance list, from the kernel mean_average_precision runs."""
+    return float(kernels.ap_scores(np.asarray(relevance)[None, :])[0])
+
+
 class TestAveragePrecision:
     def test_all_relevant_first(self):
         assert average_precision(np.array([1, 1, 0])) == 1.0
@@ -286,7 +290,7 @@ class TestPrCurve:
         rng = np.random.default_rng(11)
         points = pr_curve(random_task(rng), 3)
         path = tmp_path / "pr.csv"
-        write_pr_csv(points, path)
+        write_csv(path, ("recall", "precision"), [(p.x, p.y) for p in points])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "recall,precision"
         assert len(lines) == 4

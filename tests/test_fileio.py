@@ -1,4 +1,7 @@
+import json
 import struct
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from sphash.fileio import (
     save_checkpoint,
     save_features,
     save_labels,
+    write_csv,
     write_dataset,
+    write_json,
 )
 
 
@@ -202,3 +207,63 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+class TestCsvWriter:
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c", "d", "e", "f"), [
+            (None, 0.5, np.float64(1 / 3), 7, np.int64(-2), "selfpaced"),
+            (1.0, None, np.float64(2.0), 0, np.int64(0), ""),
+        ])
+        assert path.read_bytes() == (
+            b"a,b,c,d,e,f\n"
+            b",0.500000,0.333333,7,-2,selfpaced\n"
+            b"1.000000,,2.000000,0,0,\n"
+        )
+
+    def test_no_rows_is_header_and_newline(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x", "y"], iter(()))
+        assert path.read_bytes() == b"x,y\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temp file left
+
+
+@dataclass
+class _Inner:
+    where: Path
+    scale: np.float64
+
+
+@dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+    sizes: tuple
+
+
+class TestJsonWriter:
+    def test_format(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(path, {"b": 1, "a": [1.5, None]})
+        assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
+
+    def test_hook_converts_dataclasses_numpy_scalars_and_paths(self, tmp_path):
+        path = tmp_path / "t.json"
+        obj = {
+            "run": _Outer("x", _Inner(Path("runs") / "m", np.float64(0.25)), (np.int64(3), 4)),
+            "count": np.int32(5),
+            "flag": np.bool_(True),
+            "ratio": np.float32(0.5),
+        }
+        write_json(path, obj)
+        assert json.loads(path.read_text()) == {
+            "run": {"name": "x", "inner": {"where": "runs/m", "scale": 0.25}, "sizes": [3, 4]},
+            "count": 5,
+            "flag": True,
+            "ratio": 0.5,
+        }
+
+    def test_unknown_type_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "t.json", {"x": object()})
