@@ -2,8 +2,11 @@
 
 Queries are ranked against a gallery by Hamming distance with ties broken by
 ascending gallery index, so rankings (and therefore every metric here) are
-deterministic. An item is relevant to a query when the two share at least one
-class. MAP is computed over the full gallery ranking; queries with no
+deterministic. Distances are the narrowest unsigned integer that holds the
+code length, so the stable argsort that ranks them is numpy's O(n) radix sort.
+An item is relevant to a query when the two share at least one class; the
+shared-class count is a float32 matrix product, exact for any class count
+below 2**24. MAP is computed over the full gallery ranking; queries with no
 relevant item score 0 and are counted in the mean. Per-query results combine
 in fixed index order, keeping MAP bit-identical across runs. Each task ranks
 its gallery once; MAP and the PR curve both read that ranking.
@@ -19,6 +22,8 @@ import numpy as np
 from . import kernels
 from .errors import ParameterError, ShapeError
 from .pacer import SampleWeights
+
+_RANK_CHUNK = 64  # query rows ranked at a time: bounds the (rows, G) intp order array
 
 
 @dataclass
@@ -48,22 +53,30 @@ class RetrievalTask:
 
     def relevance(self) -> np.ndarray:
         """(Q, G) bool: share at least one class."""
-        q = self.query_labels.astype(np.int64)
-        g = self.gallery_labels.astype(np.int64)
-        return (q @ g.T) >= 1
+        q = self.query_labels.astype(np.float32)
+        g = self.gallery_labels.astype(np.float32)
+        return (q @ g.T) >= 1  # BLAS; counts below 2**24 are exact in float32
 
     @cached_property
     def ranked_relevance(self) -> np.ndarray:
         """(Q, G) relevance in rank order, computed once per task."""
+        relevance = self.relevance()
         distances = pairwise_hamming(self.query_codes, self.gallery_codes)
-        order = np.argsort(distances, axis=1, kind="stable")
-        ranked = np.take_along_axis(self.relevance(), order, axis=1)
+        ranked = np.empty_like(relevance)
+        for start in range(0, len(ranked), _RANK_CHUNK):
+            rows = slice(start, start + _RANK_CHUNK)
+            order = np.argsort(distances[rows], axis=1, kind="stable")  # radix sort on narrow keys
+            ranked[rows] = np.take_along_axis(relevance[rows], order, axis=1)
         ranked.flags.writeable = False  # shared by every metric of this task
         return ranked
 
 
 def pairwise_hamming(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """All-pairs distances via packed-word popcounts (the hot kernel)."""
+    """All-pairs distances via packed-word popcounts (the hot kernel).
+
+    The result is unsigned and as narrow as the code length allows (uint8 up
+    to 255 bits): cast it before subtracting or summing many distances.
+    """
     if codes_a.shape[1] != codes_b.shape[1]:
         raise ShapeError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
     return kernels.pairwise_hamming_packed(kernels.pack_signs(codes_a), kernels.pack_signs(codes_b))

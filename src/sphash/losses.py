@@ -23,6 +23,7 @@ are constants during backprop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,13 @@ class LossConfig:
     alpha: float = 0.002
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ParameterError(f"temperature tau={self.tau} must be positive")
+        # each check is written so that NaN fails too
+        if not 0 < self.tau < math.inf:
+            raise ParameterError(f"temperature tau={self.tau} must be positive and finite")
         if not 0.0 < self.r <= 1.0:
             raise ParameterError(f"weight factor r={self.r} outside (0, 1]")
-        if not self.alpha >= 0:  # written so that NaN fails too
-            raise ParameterError(f"alpha={self.alpha} must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha={self.alpha} must be non-negative and finite")
 
 
 @dataclass

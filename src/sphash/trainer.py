@@ -26,6 +26,7 @@ Variants (ablations and robustness probes):
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,8 +83,8 @@ class TrainConfig:
             raise ParameterError(
                 f"need 0 <= warmup_epochs < max_epochs, got {self.warmup_epochs}/{self.max_epochs}"
             )
-        if not self.learning_rate >= 0:  # written so that NaN fails too
-            raise ParameterError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:  # written so that NaN fails too
+            raise ParameterError("learning_rate must be non-negative and finite")
         if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
         if self.variant not in VARIANTS:

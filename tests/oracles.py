@@ -36,6 +36,14 @@ def naive_mean_average_precision(query_codes, query_labels, gallery_codes, galle
     return sum(ap_values) / len(ap_values)
 
 
+def ranked_relevance_reference(query_codes, query_labels, gallery_codes, gallery_labels):
+    """(Q, G) relevance in rank order: a stable int64 argsort of elementwise distances."""
+    distances = (query_codes[:, None, :] != gallery_codes[None, :, :]).sum(axis=2, dtype=np.int64)
+    order = np.argsort(distances, axis=1, kind="stable")  # ties keep gallery index order
+    shared = query_labels.astype(np.int64) @ gallery_labels.astype(np.int64).T
+    return np.take_along_axis(shared >= 1, order, axis=1)
+
+
 def grid_argmin_weight(loss: float, gamma: float, grid_points: int = 10**6) -> float:
     """Brute-force minimizer of w*loss + gamma*(w^2/2 - w) over a [0,1] grid."""
     w = np.linspace(0.0, 1.0, grid_points)

@@ -304,12 +304,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("train", "--alpha"), ("train", "--lr"), ("gen-data", "--train-frac"),
-         ("gen-data", "--val-frac")],
+        [("train", "--alpha"), ("train", "--lr"), ("train", "--tau"),
+         ("gen-data", "--train-frac"), ("gen-data", "--val-frac")],
     )
     def test_nan_flag_exit_2(self, dataset_dir, tmp_path, command, flag):
         args = GEN_ARGS if command == "gen-data" else TRAIN_ARGS + ["--data", str(dataset_dir)]
-        assert main(args + [flag, "nan", "--out", str(tmp_path / "out")]) == 2
+        for value in ("nan", "inf"):
+            assert main(args + [flag, value, "--out", str(tmp_path / value)]) == 2, value
 
     @pytest.mark.parametrize("case", sorted(BAD_WEIGHT_DUMPS))
     def test_bad_weight_dump_typed_error(self, dataset_dir, train_dir, tmp_path, case):

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import naive_average_precision, naive_mean_average_precision
+from oracles import (
+    naive_average_precision,
+    naive_mean_average_precision,
+    ranked_relevance_reference,
+)
 from sphash.data import one_hot
 from sphash.errors import ParameterError, ShapeError
 from sphash import kernels
@@ -27,12 +31,36 @@ pm_codes = arrays(
 )
 
 
-def random_task(rng, n_query=6, n_gallery=20, length=8, k=3):
+def random_task(rng, n_query=6, n_gallery=20, length=8, k=3, multi_label=False):
+    def labels(n):
+        if multi_label:  # any number of classes per row, none included
+            return (rng.random((n, k)) < 0.4).astype(np.uint8)
+        return one_hot(rng.integers(0, k, n), k)
+
     return RetrievalTask(
         query_codes=rng.choice([-1, 1], (n_query, length)).astype(np.int8),
-        query_labels=one_hot(rng.integers(0, k, n_query), k),
+        query_labels=labels(n_query),
         gallery_codes=rng.choice([-1, 1], (n_gallery, length)).astype(np.int8),
-        gallery_labels=one_hot(rng.integers(0, k, n_gallery), k),
+        gallery_labels=labels(n_gallery),
+    )
+
+
+@st.composite
+def tie_heavy_tasks(draw):
+    """Tasks whose codes repeat a few rows, so most distances tie; multi-label rows."""
+    length = draw(st.sampled_from([1, 2, 3, 65]))
+    pool = draw(arrays(np.int8, (draw(st.integers(1, 4)), length),
+                       elements=st.sampled_from([-1, 1])))
+    n_query, n_gallery, k = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    picks = st.integers(0, len(pool) - 1)
+    query_rows = draw(arrays(np.intp, n_query, elements=picks))
+    gallery_rows = draw(arrays(np.intp, n_gallery, elements=picks))
+    label_bits = st.integers(0, 1)
+    return RetrievalTask(
+        query_codes=pool[query_rows],
+        query_labels=draw(arrays(np.uint8, (n_query, k), elements=label_bits)),
+        gallery_codes=pool[gallery_rows],
+        gallery_labels=draw(arrays(np.uint8, (n_gallery, k), elements=label_bits)),
     )
 
 
@@ -123,6 +151,25 @@ class TestRankGallery:
         )
         assert gallery_order(query, gallery).tolist() == [3, 1, 2, 0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(task=tie_heavy_tasks())
+    def test_matches_stable_int64_oracle(self, task):
+        expected = ranked_relevance_reference(
+            task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
+        )
+        assert task.ranked_relevance.dtype == bool
+        assert np.array_equal(task.ranked_relevance, expected)
+        shared = task.query_labels.astype(np.int64) @ task.gallery_labels.astype(np.int64).T
+        assert np.array_equal(task.relevance(), shared >= 1)
+
+    def test_matches_stable_int64_oracle_over_many_query_rows(self):
+        rng = np.random.default_rng(16)
+        task = random_task(rng, n_query=150, n_gallery=300, length=5, k=4, multi_label=True)
+        expected = ranked_relevance_reference(
+            task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
+        )
+        assert np.array_equal(task.ranked_relevance, expected)
+
     def test_output_is_permutation(self):
         rng = np.random.default_rng(2)
         gallery = rng.choice([-1, 1], (15, 5)).astype(np.int8)
@@ -212,17 +259,20 @@ class TestMeanAveragePrecision:
 
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            task = random_task(
-                rng,
-                n_query=int(rng.integers(1, 10)),
-                n_gallery=int(rng.integers(1, 40)),
-                length=int(rng.integers(1, 12)),
-            )
-            expected = naive_mean_average_precision(
-                task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
-            )
-            assert mean_average_precision(task) == expected
+        for multi_label in (False, True):
+            for _ in range(25):
+                task = random_task(
+                    rng,
+                    n_query=int(rng.integers(1, 10)),
+                    n_gallery=int(rng.integers(1, 40)),
+                    length=int(rng.integers(1, 12)),
+                    k=int(rng.integers(2, 6)) if multi_label else 3,
+                    multi_label=multi_label,
+                )
+                expected = naive_mean_average_precision(
+                    task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
+                )
+                assert mean_average_precision(task) == expected
 
     def test_gallery_permutation_invariance_with_reindexed_ties(self):
         # ranking by (distance, original index) after a permutation reproduces

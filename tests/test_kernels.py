@@ -32,11 +32,21 @@ class TestPackSigns:
 
 class TestHammingPaths:
     def test_numpy_path_matches_elementwise_count(self):
+        # one to four words, both the uint8 and the uint16 result, and more
+        # query rows than one chunk
         rng = np.random.default_rng(2)
-        a_codes, a = random_packed(rng, 7, 70)
-        b_codes, b = random_packed(rng, 9, 70)
-        expected = (a_codes[:, None, :] != b_codes[None, :, :]).sum(axis=2)
-        assert np.array_equal(kernels.pairwise_hamming_packed(a, b), expected)
+        for length in (1, 63, 64, 65, 70, 128, 130, 192, 256):
+            a_codes, a = random_packed(rng, 150, length)
+            b_codes, b = random_packed(rng, 9, length)
+            expected = (a_codes[:, None, :] != b_codes[None, :, :]).sum(axis=2)
+            distances = kernels.pairwise_hamming_packed(a, b)
+            assert np.array_equal(distances, expected), length
+            # unsigned, wide enough for the code length, and no wider
+            assert distances.dtype == (np.uint8 if length < 256 else np.uint16)
+        # a code and its complement are the largest distance the dtype must hold
+        codes, packed = random_packed(rng, 3, 256)
+        distances = kernels.pairwise_hamming_packed(packed, kernels.pack_signs(-codes))
+        assert (np.diag(distances) == 256).all()
 
     def test_dispatch_shape_check(self):
         rng = np.random.default_rng(4)
@@ -49,10 +59,11 @@ class TestHammingPaths:
 class TestApScores:
     def test_matches_naive_oracle_bitwise(self):
         rng = np.random.default_rng(5)
-        rel = (rng.random((50, 37)) < 0.3).astype(np.uint8)
-        scores = kernels.ap_scores(rel)
-        for row, score in zip(rel, scores):
-            assert score == naive_average_precision(row.tolist())
+        rel = rng.random((150, 37)) < 0.3  # more rows than one query chunk
+        for dtype in (np.uint8, bool):
+            scores = kernels.ap_scores(rel.astype(dtype))
+            for row, score in zip(rel, scores):
+                assert score == naive_average_precision(row.tolist())
 
     def test_empty_relevance_rows_score_zero(self):
         rel = np.zeros((3, 10), dtype=np.uint8)

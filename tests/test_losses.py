@@ -72,8 +72,11 @@ class TestLossConfig:
             LossConfig(r=1.5)
         with pytest.raises(ParameterError):
             LossConfig(alpha=-0.1)
-        with pytest.raises(ParameterError):
-            LossConfig(alpha=float("nan"))
+        for value in ("nan", "inf"):
+            with pytest.raises(ParameterError):
+                LossConfig(tau=float(value))
+            with pytest.raises(ParameterError):
+                LossConfig(alpha=float(value))
 
 
 class TestGceTransform:

@@ -66,6 +66,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             tiny_config(batch_size=1)
 
+    def test_learning_rate_non_negative_and_finite(self):
+        for value in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                tiny_config(learning_rate=value)
+
     def test_unknown_variant_and_optimizer(self):
         with pytest.raises(ParameterError):
             tiny_config(variant="half_spl")
