@@ -14,14 +14,18 @@ configuration, the seed, and the artifact paths; re-running a command with
 the manifest's argv reproduces every artifact byte for byte (the manifest
 itself records wall-clock time, so compare the artifacts, not the manifest).
 
-Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
-4 numerical divergence during training, 5 checkpoint/dataset mismatch.
+Exit codes: 0 success, 1 some sweep cell failed (its aggregate entries read
+"error"), 2 usage error, 3 I/O or file-format error, 4 numerical divergence
+during training, 5 checkpoint/dataset mismatch. sweep checks its whole grid
+before the first cell runs, so a bad noise rate, size, split or variant
+exits 2 and writes no cell.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -30,7 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluator, trainer
-from .data import MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split
+from .data import (
+    MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split, split_sizes,
+)
 from .errors import (
     CompatibilityError,
     FormatError,
@@ -45,7 +51,7 @@ from .seeding import stable_seed
 
 _DEFAULT_TRAIN_FRAC = 0.7
 _DEFAULT_VAL_FRAC = 0.1
-_GAMMA_OVERRIDE_DEFAULT = 200.0
+_DEFAULT_VARIANT = trainer.TrainConfig.variant
 
 
 def _list_of(kind):
@@ -132,8 +138,8 @@ def _add_train_flags(p: argparse.ArgumentParser, bits_as_grid: bool = False) -> 
         help="linear pace ramp over the self-paced phase, overrides --gamma",
     )
     p.add_argument(
-        "--variant", choices=trainer.VARIANTS, default="full",
-        help="ablation/robustness variant (default full)",
+        "--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
+        help=f"ablation/robustness variant (default {_DEFAULT_VARIANT})",
     )
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     p.add_argument(
@@ -157,12 +163,9 @@ def _build_pace(args) -> PaceSchedule | None:
             gamma_end=float(parts[1]),
             ramp_epochs=int(parts[2]),
         )
-    gamma = args.gamma
-    if gamma is None and args.variant == "gamma_override":
-        gamma = _GAMMA_OVERRIDE_DEFAULT
-    if gamma is not None:
-        return PaceSchedule(mode="fixed", gamma_start=float(gamma))
-    return None
+    if args.gamma is not None:
+        return PaceSchedule(mode="fixed", gamma_start=float(args.gamma))
+    return None  # trainer.resolve_config picks the variant's default
 
 
 def _train_config(args) -> trainer.TrainConfig:
@@ -207,31 +210,33 @@ def _load_splits(manifest: dict, dataset: MultiModalDataset):
     )
 
 
-def _write_synthetic(args, seed: int, noise_rate: float, out: Path):
-    """Synthesize a dataset, corrupt its train split's labels and write it to out.
-
-    Returns (spec, manifest path).
-    """
-    spec = SynthSpec(
+def _synth_spec(args) -> SynthSpec:
+    return SynthSpec(
         n=args.n, k=args.k, m=args.m, dims=tuple(args.dims),
         class_separation=args.class_separation, intra_noise_std=args.intra_noise_std,
-        seed=seed,
+        seed=args.seed,
     )
+
+
+def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path) -> Path:
+    """Synthesize spec's dataset, corrupt its train split's labels and write it to out.
+
+    Returns the manifest path.
+    """
     dataset = generate_synthetic(spec)
-    train_ds, _, _ = split(dataset, args.train_frac, args.val_frac, seed)
+    train_ds, _, _ = split(dataset, args.train_frac, args.val_frac, spec.seed)
     noised = inject_noise_subset(
-        dataset, train_ds.source_rows, noise_rate, stable_seed(seed, "train-noise")
+        dataset, train_ds.source_rows, noise_rate, stable_seed(spec.seed, "train-noise")
     )
-    split_spec = {"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": seed}
-    return spec, write_dataset(noised, out, split_spec=split_spec)
+    split_spec = {"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": spec.seed}
+    return write_dataset(noised, out, split_spec=split_spec)
 
 
 def cmd_gen_data(args) -> int:
     started = time.time()
-    if not 0.0 <= args.noise_rate <= 1.0:
-        raise ParameterError(f"--noise-rate {args.noise_rate} outside [0, 1]")
     out = Path(args.out)
-    spec, manifest_path = _write_synthetic(args, args.seed, args.noise_rate, out)
+    spec = _synth_spec(args)
+    manifest_path = _write_synthetic(args, spec, args.noise_rate, out)
     artifacts = sorted(p.name for p in out.iterdir() if p.suffix in (".fmat", ".lmat"))
     artifacts.append(manifest_path.name)
     config = {"synth": spec, "noise_rate": args.noise_rate}
@@ -373,8 +378,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _sweep_grid(args) -> tuple[SynthSpec, dict]:
+    """The sweep's SynthSpec and one TrainConfig per (bits, variant), all checked.
+
+    Raises ParameterError for any bad noise rate, size, split or variant, so
+    a grid that cannot run fails before its first cell writes anything.
+    """
+    for noise in args.noise_rates:  # the check inject_symmetric_noise makes per cell
+        if not 0.0 <= noise <= 1.0:
+            raise ParameterError(f"noise rate {noise} outside [0, 1]")
+    spec = _synth_spec(args)
+    split_sizes(spec.n, args.train_frac, args.val_frac)
+    configs = {}
+    for bits in args.bits:
+        for variant in args.variants:
+            cell_args = argparse.Namespace(**{**vars(args), "bits": bits, "variant": variant})
+            configs[bits, variant] = _train_config(cell_args)
+            trainer.resolve_config(configs[bits, variant], spec.m)
+    return spec, configs
+
+
 def cmd_sweep(args) -> int:
     started = time.time()
+    spec, configs = _sweep_grid(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cells = {}
@@ -386,7 +412,7 @@ def cmd_sweep(args) -> int:
                 cell_dir = out / "cells" / f"n{noise}_b{bits}_{variant}"
                 try:
                     cells[(noise, bits, variant)] = _run_cell(
-                        args, noise, bits, variant, cell_seed, cell_dir
+                        args, noise, spec, configs[bits, variant], cell_seed, cell_dir
                     )
                 except (SphashError, OSError) as exc:  # a broken cell must not sink the grid
                     print(f"cell n={noise} bits={bits} {variant} failed: {exc}", file=sys.stderr)
@@ -419,16 +445,11 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _run_cell(args, noise: float, bits: int, variant: str, seed: int, cell_dir: Path):
-    """gen-data + train + test-split MAP for one sweep cell."""
-    _, manifest_path = _write_synthetic(args, seed, noise, cell_dir / "data")
-    dataset, manifest = read_dataset(manifest_path)
-
-    cell_args = argparse.Namespace(**vars(args))
-    cell_args.bits = bits
-    cell_args.variant = variant
-    cell_args.seed = seed
-    config = _train_config(cell_args)
+def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, seed: int,
+              cell_dir: Path):
+    """gen-data + train + test-split MAP for one sweep cell, spec and config reseeded."""
+    spec, config = dataclasses.replace(spec, seed=seed), dataclasses.replace(config, seed=seed)
+    dataset, manifest = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
     report, (train_ds, _, test_ds) = _run_training(dataset, manifest, config, cell_dir / "train")
 
     params, _ = load_checkpoint(report.checkpoint_path)
@@ -480,8 +501,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
                    help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
-    p.add_argument("--variants", type=_list_of(str), default=["full"],
-                   help="comma-separated variants (default full)")
+    p.add_argument("--variants", type=_list_of(str), default=[_DEFAULT_VARIANT],
+                   help=f"comma-separated variants (default {_DEFAULT_VARIANT})")
     _add_synth_flags(p)
     _add_train_flags(p, bits_as_grid=True)
     p.set_defaults(func=cmd_sweep)

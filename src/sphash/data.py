@@ -226,6 +226,21 @@ def _largest_remainder(quotas: np.ndarray, total: int, caps: np.ndarray) -> np.n
     return base
 
 
+def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
+    """(train, val) sizes round(frac*n); ParameterError unless every split is non-empty."""
+    if not (train_frac > 0 and val_frac > 0):  # written so that NaN fails too
+        raise ParameterError("split fractions must be positive")
+    if not train_frac + val_frac < 1.0:
+        raise ParameterError(
+            f"train_frac + val_frac = {train_frac + val_frac} leaves no test split"
+        )
+    n_train = _round_half_up(train_frac * n)
+    n_val = _round_half_up(val_frac * n)
+    if n_train < 1 or n_val < 1 or n_train + n_val >= n:
+        raise ParameterError(f"degenerate split sizes ({n_train}/{n_val}/{n - n_train - n_val})")
+    return n_train, n_val
+
+
 def split(
     dataset: MultiModalDataset, train_frac: float, val_frac: float, seed: int
 ) -> tuple[MultiModalDataset, MultiModalDataset, MultiModalDataset]:
@@ -234,17 +249,7 @@ def split(
     Global sizes are round(frac*N) for train and val; per-class allocations
     stay within one instance of exact proportionality.
     """
-    if not (train_frac > 0 and val_frac > 0):  # written so that NaN fails too
-        raise ParameterError("split fractions must be positive")
-    if not train_frac + val_frac < 1.0:
-        raise ParameterError(
-            f"train_frac + val_frac = {train_frac + val_frac} leaves no test split"
-        )
-    n = dataset.n
-    n_train = _round_half_up(train_frac * n)
-    n_val = _round_half_up(val_frac * n)
-    if n_train < 1 or n_val < 1 or n_train + n_val >= n:
-        raise ParameterError(f"degenerate split sizes ({n_train}/{n_val}/{n - n_train - n_val})")
+    n_train, n_val = split_sizes(dataset.n, train_frac, val_frac)
 
     true_class = dataset.true_labels.argmax(axis=1)
     rng = spawn_rng(seed, "split")

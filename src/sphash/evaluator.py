@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError, ShapeError
-from .pacer import SampleWeights
 
 _RANK_CHUNK = 64  # query rows ranked at a time: bounds the (rows, G) intp order array
 
@@ -157,7 +156,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return mid[inverse]
 
 
-def noise_detection_score(weights, mask: np.ndarray) -> NoiseDetectionScore:
+def noise_detection_score(weights: np.ndarray, mask: np.ndarray) -> NoiseDetectionScore:
     """Score the zero-weight set against the ground-truth noise mask.
 
     Precision/recall/F1 treat weight == 0 as "predicted noisy". AUC ranks
@@ -167,7 +166,7 @@ def noise_detection_score(weights, mask: np.ndarray) -> NoiseDetectionScore:
     with precision 0 if anything was predicted; an empty prediction set
     scores precision 1 only when the mask is also all-clean.
     """
-    values = weights.values if isinstance(weights, SampleWeights) else np.asarray(weights, float)
+    values = np.asarray(weights, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if values.shape != mask.shape:
         raise ShapeError(f"weights {values.shape} vs mask {mask.shape}")
@@ -200,11 +199,11 @@ class WeightHistogram:
     masses: np.ndarray  # (bins,), sums to 1
 
 
-def weight_density(weights, bins: int) -> WeightHistogram:
+def weight_density(weights: np.ndarray, bins: int) -> WeightHistogram:
     """Normalized histogram of weights over [0, 1]."""
     if bins < 2:
         raise ParameterError(f"bins={bins} must be >= 2")
-    values = weights.values if isinstance(weights, SampleWeights) else np.asarray(weights, float)
+    values = np.asarray(weights, dtype=float)
     if values.size == 0:
         raise ParameterError("cannot histogram an empty weight vector")
     counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))

@@ -250,6 +250,7 @@ def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> Non
 
 
 def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:
+    """Inverse of save_checkpoint; FormatError for any malformed or non-finite payload."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + 16:
         raise TruncatedPayloadError(f"{path}: file shorter than checkpoint header")
@@ -286,4 +287,6 @@ def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:
     flat = take(flat_size(dims, hidden, code_length), "<f4").astype(np.float64)
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite encoder weights")
     return HashEncoderParams(flat, dims, int(hidden), int(code_length)), centers

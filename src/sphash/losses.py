@@ -15,6 +15,9 @@ losses build on it:
 * self-paced: the center criterion weighted per instance, plus the pace
   regularizer gamma*(w^2/2 - w).
 
+Warm-up is training with no weights: ``total_loss`` takes the plain center
+criterion when it is given none and the self-paced one otherwise.
+
 Every kernel returns the exact analytic gradient with respect to the relaxed
 codes of all batch members; softmaxes subtract their row max before
 exponentiation so values stay finite for arbitrarily large logits. Weights
@@ -34,9 +37,6 @@ from .pacer import SampleWeights
 # floor applied inside gradient factors only: g'(u) carries u^(r-1), which
 # blows up at u -> 0 when r < 1, while g(u) itself is finite at u = 0
 _GRAD_FLOOR = 1e-12
-
-WARMUP = "warmup"
-SELFPACED = "selfpaced"
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,11 @@ def per_instance_loss(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig) -
 
 def _weighted_center_loss(
     batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, scale: np.ndarray
-) -> tuple[float, list[np.ndarray], np.ndarray]:
+) -> tuple[float, list[np.ndarray]]:
     """Value and code gradients of (1/B) sum_i scale_i * loss_i."""
     b = batch.batch_size
     probs, labels, v = _aggregation_matrix(batch, centers, cfg)
-    per_instance = gce_terms(v, cfg.r).sum(axis=1)
-    value = float((scale * per_instance).sum() / b)
+    value = float((scale * gce_terms(v, cfg.r).sum(axis=1)).sum() / b)
 
     centers_f = np.asarray(centers, dtype=np.float64)
     grads = []
@@ -182,14 +181,12 @@ def _weighted_center_loss(
         coeff = (scale * gce_grad(v[:, m], cfg.r)) / b
         d_logits = coeff[:, None] * p * (labels - v[:, m][:, None])
         grads.append(d_logits @ centers_f / cfg.tau)
-    return value, grads, per_instance
+    return value, grads
 
 
 def cal_loss(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig) -> tuple[float, list[np.ndarray]]:
     """Center aggregation loss: mean of per-instance losses, with gradients."""
-    ones = np.ones(batch.batch_size)
-    value, grads, _ = _weighted_center_loss(batch, centers, cfg, ones)
-    return value, grads
+    return _weighted_center_loss(batch, centers, cfg, np.ones(batch.batch_size))
 
 
 def nsh_loss(
@@ -205,33 +202,29 @@ def nsh_loss(
         raise ShapeError(f"{w.shape[0]} weights for batch of {batch.batch_size}")
     if w.size and (w.min() < 0 or w.max() > 1):
         raise ParameterError("sample weights must lie in [0, 1]")
-    value, grads, _ = _weighted_center_loss(batch, centers, cfg, w)
+    value, grads = _weighted_center_loss(batch, centers, cfg, w)
     penalty = weights.gamma * (0.5 * w * w - w).sum() / batch.batch_size
     return value + float(penalty), grads
 
 
 def total_loss(
-    phase: str,
     batch: BatchCodes,
     centers: np.ndarray,
     weights: SampleWeights | None,
     cfg: LossConfig,
 ) -> tuple[float, float | None, list[np.ndarray]]:
-    """Parts of one phase's objective, center + alpha * contrastive.
+    """Parts of one step's objective, center + alpha * contrastive.
 
     Returns (center, contrastive, grads). The center term is the plain
-    criterion in warm-up and its weighted form in the self-paced phase. The
-    contrastive term is None at alpha = 0, where it is never evaluated.
-    grads are the code gradients of the whole objective.
+    criterion in warm-up (no weights) and its weighted form with the pace
+    regularizer otherwise. The contrastive term is None at alpha = 0, where
+    it is never evaluated. grads are the code gradients of the whole
+    objective.
     """
-    if phase == WARMUP:
+    if weights is None:
         center, grads = cal_loss(batch, centers, cfg)
-    elif phase == SELFPACED:
-        if weights is None:
-            raise ParameterError("self-paced phase requires sample weights")
-        center, grads = nsh_loss(batch, centers, weights, cfg)
     else:
-        raise ParameterError(f"unknown phase {phase!r}")
+        center, grads = nsh_loss(batch, centers, weights, cfg)
 
     if not cfg.alpha > 0:
         return center, None, grads

@@ -31,9 +31,6 @@ class SampleWeights:
         if self.values.size and (self.values.min() < 0 or self.values.max() > 1):
             raise ParameterError("sample weights must lie in [0, 1]")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class PaceSchedule:
@@ -84,24 +81,6 @@ def validate_schedule(schedule: PaceSchedule, n_modalities: int, r: float) -> No
         )
 
 
-def optimal_weight(loss: float, gamma: float) -> float:
-    """Closed-form minimizer of w*loss + gamma*(w^2/2 - w) over [0, 1]."""
-    if loss < 0:
-        raise ParameterError(f"per-instance loss {loss} must be non-negative")
-    if not gamma > 0:
-        raise ParameterError(f"gamma={gamma} must be positive")
-    return max(0.0, 1.0 - loss / gamma)
-
-
-def regularizer(w: float, gamma: float) -> float:
-    """Linear-interpolation self-paced penalty gamma*(w^2/2 - w)."""
-    if not 0.0 <= w <= 1.0:
-        raise ParameterError(f"weight {w} outside [0, 1]")
-    if not gamma > 0:
-        raise ParameterError(f"gamma={gamma} must be positive")
-    return gamma * (0.5 * w * w - w)
-
-
 def gamma_at(schedule: PaceSchedule, epoch: int) -> float:
     """Gamma for the given epoch of the self-paced phase (0-based)."""
     if epoch < 0:
@@ -128,10 +107,3 @@ def binarize_weights(weights: SampleWeights) -> SampleWeights:
     """Progressive-learning ablation: every admitted instance gets full weight."""
     values = np.where(weights.values > 0, 1.0, 0.0)
     return SampleWeights(values, weights.gamma)
-
-
-def partition(weights: SampleWeights) -> tuple[np.ndarray, np.ndarray]:
-    """(clean_indices, noisy_indices): noisy means weight exactly zero."""
-    noisy = np.flatnonzero(weights.values == 0.0)
-    clean = np.flatnonzero(weights.values != 0.0)
-    return clean, noisy

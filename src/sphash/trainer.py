@@ -1,16 +1,18 @@
 """End-to-end training.
 
-Epochs below ``warmup_epochs`` minimize the plain center-aggregation
-objective; every later epoch first refreshes per-instance weights over the
-full training split with parameters frozen (one forward pass), then runs
-mini-batch updates on the weighted objective with those weights constant.
+Epochs below ``warmup_epochs`` are warm-up: they train with no weights, on
+the plain center-aggregation objective. Every later epoch first refreshes
+per-instance weights over the full training split with parameters frozen
+(one forward pass), then runs mini-batch updates on the weighted objective
+with those weights constant. Whether an epoch has weights is the only record
+of its phase; ``EpochRecord.phase`` names it for the report.
 Model selection keeps the checkpoint from the epoch with the best validation
 MAP (mean of both retrieval directions). Two runs with the same config and
 seed produce identical reports: batch order, reduction order, and every
 sub-seed derive from the run seed.
 
-A mini-batch step runs every encoder forward once, takes the phase
-objective's parts and code gradients from ``losses.total_loss``, runs
+A mini-batch step runs every encoder forward once, takes the objective's
+parts and code gradients from ``losses.total_loss``, runs
 backward through the stored activations, and applies one elementwise SGD or
 adaptive-moments update to the flat weight vector (layout in ``encoder``).
 
@@ -20,7 +22,10 @@ Variants (ablations and robustness probes):
   no_chl           contrastive weight alpha forced to 0, term never evaluated
   no_spl           self-paced phase runs with all weights = 1
   binarize_weights every nonzero weight rounded up to 1 after each refresh
-  gamma_override   gamma fixed above the loss upper bound, admitting everyone
+  gamma_override   gamma fixed above the loss upper bound (200 unless a pace
+                   is given), admitting everyone
+
+``resolve_config`` is the one place that turns a variant into settings.
 """
 
 from __future__ import annotations
@@ -45,17 +50,20 @@ from .encoder import (
 )
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .fileio import save_checkpoint, write_csv
-from .losses import SELFPACED, WARMUP, BatchCodes, LossConfig
+from .losses import BatchCodes, LossConfig
 from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
 
 VARIANTS = ("full", "no_warmup", "no_chl", "no_spl", "binarize_weights", "gamma_override")
 OPTIMIZERS = ("sgd", "adaptive_moments")
+WARMUP = "warmup"
+SELFPACED = "selfpaced"
 
 _REFRESH_CHUNK = 1024
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_GAMMA_OVERRIDE_DEFAULT = 200.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adaptive_moments"
     loss: LossConfig = field(default_factory=LossConfig)
-    pace: PaceSchedule | None = None  # None resolves to fixed gamma at half the upper bound
+    pace: PaceSchedule | None = None  # None resolves per variant in resolve_config
     seed: int = 0
     variant: str = "full"
     eval_every: int = 1
@@ -103,13 +111,13 @@ def resolve_config(config: TrainConfig, n_modalities: int) -> TrainConfig:
         warmup = 0
 
     pace = config.pace
-    _, upper = pacer.gamma_bounds(n_modalities, loss_cfg.r)
     if config.variant == "gamma_override":
-        if pace is None:
-            raise ParameterError("variant gamma_override needs an explicit gamma")
         # deliberately outside the admissible interval: every instance admitted
+        if pace is None:
+            pace = PaceSchedule(mode="fixed", gamma_start=_GAMMA_OVERRIDE_DEFAULT)
     else:
         if pace is None:
+            _, upper = pacer.gamma_bounds(n_modalities, loss_cfg.r)
             pace = PaceSchedule(mode="fixed", gamma_start=0.5 * upper)
         pacer.validate_schedule(pace, n_modalities, loss_cfg.r)
     return dataclasses.replace(config, loss=loss_cfg, warmup_epochs=warmup, pace=pace)
@@ -178,14 +186,13 @@ def step(
     centers: np.ndarray,
     x_batch: list[np.ndarray],
     y_batch: np.ndarray,
-    phase: str,
     weights: SampleWeights | None,
     config: TrainConfig,
     opt_state: _OptimizerState,
     epoch: int = -1,
     batch_index: int = -1,
 ) -> dict:
-    """One optimizer step on the phase objective; returns the loss parts.
+    """One optimizer step; returns the loss parts. No weights means warm-up.
 
     Each encoder runs forward once; backward reuses those activations, and
     the modality gradients join into one vector laid out like params.flat.
@@ -198,7 +205,7 @@ def step(
 
     acts = [forward(mod, x) for mod, x in zip(mods, x_batch)]
     batch = BatchCodes([codes for _, codes in acts], y_batch)
-    center, contrastive, code_grads = losses.total_loss(phase, batch, centers, weights, config.loss)
+    center, contrastive, code_grads = losses.total_loss(batch, centers, weights, config.loss)
     total = center if contrastive is None else center + config.loss.alpha * contrastive
     if not np.isfinite(total):
         raise TrainingDivergedError(
@@ -276,12 +283,8 @@ def train(
     best_epoch, best_map = -1, -np.inf
 
     for epoch in range(config.max_epochs):
-        phase = WARMUP if epoch < config.warmup_epochs else SELFPACED
-
-        weights_all = None
-        gamma = None
-        zero_count = None
-        if phase == SELFPACED:
+        weights_all = gamma = zero_count = None  # no weights: a warm-up epoch
+        if epoch >= config.warmup_epochs:
             gamma = pacer.gamma_at(config.pace, epoch - config.warmup_epochs)
             instance_losses = _full_train_losses(params, centers, x_all, labels, config.loss, epoch)
             weights_all = pacer.refresh_weights(instance_losses, gamma)
@@ -307,7 +310,6 @@ def train(
                 centers,
                 [x[rows] for x in x_all],
                 labels[rows],
-                phase,
                 w_slice,
                 config,
                 opt_state,
@@ -332,7 +334,7 @@ def train(
         records.append(
             EpochRecord(
                 epoch=epoch,
-                phase=phase,
+                phase=WARMUP if weights_all is None else SELFPACED,
                 loss_total=sums["total"] / n_train,
                 loss_contrastive=sums["contrastive"] / n_train if saw_contrastive else None,
                 loss_center=sums["center"] / n_train,

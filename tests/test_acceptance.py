@@ -24,7 +24,7 @@ from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, one_
 from sphash.encoder import backward, encode, forward, init_centers, init_params
 from sphash.fileio import load_checkpoint
 from sphash.losses import BatchCodes, LossConfig
-from sphash.pacer import PaceSchedule, SampleWeights, gamma_bounds, optimal_weight
+from sphash.pacer import PaceSchedule, SampleWeights, gamma_bounds, refresh_weights
 from sphash.seeding import stable_seed
 from sphash.trainer import TrainConfig, binary_codes, train
 
@@ -106,7 +106,7 @@ def test_criterion_1_weight_solver_matches_grid_argmin():
         np.multiply(grid, loss, out=objective)
         objective += gamma * penalty
         best_grid = grid[int(np.argmin(objective))]
-        worst = max(worst, abs(optimal_weight(loss, gamma) - best_grid))
+        worst = max(worst, abs(refresh_weights(np.array([loss]), gamma).values[0] - best_grid))
     seconds = time.monotonic() - started
     report(
         1,
@@ -185,7 +185,7 @@ def test_criterion_3_gradient_checks():
         worst = max(worst, check(lambda bt: losses.nsh_loss(bt, centers, weights, cfg), batch))
         worst = max(
             worst,
-            check(lambda bt: objective(losses.total_loss("selfpaced", bt, centers, weights, cfg),
+            check(lambda bt: objective(losses.total_loss(bt, centers, weights, cfg),
                                        cfg), batch),
         )
 

@@ -162,6 +162,18 @@ class TestEval:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_checkpoint_weight_exit_3(self, dataset_dir, train_dir, tmp_path, value):
+        raw = bytearray((train_dir / "checkpoint.bin").read_bytes())
+        raw[-4:] = np.array([value], dtype="<f4").tobytes()  # the last encoder weight
+        checkpoint = tmp_path / "checkpoint.bin"
+        checkpoint.write_bytes(bytes(raw))
+        code = main(
+            ["eval", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
+
     def test_missing_checkpoint_exit_3(self, dataset_dir, tmp_path):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "none.bin"),
@@ -210,6 +222,26 @@ class TestSweep:
         monkeypatch.setattr(cli_module, "_run_cell", broken)
         with pytest.raises(RuntimeError):
             main(SWEEP_ARGS + ["--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--noise-rates", "0.2,1.5"),
+            ("--noise-rates", "-0.1"),
+            ("--variants", "full,bogus"),
+            ("--bits", "8,0"),
+            ("--n", "2"),  # fewer instances than classes
+            ("--train-frac", "0.95"),  # with val 0.1: no test split
+            ("--gamma", "5"),  # above the loss bound 3 of every non-override variant
+        ],
+        ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits", "n-below-k",
+             "no-test-split", "gamma-above-bound"],
+    )
+    def test_bad_grid_exits_2_before_any_cell(self, tmp_path, flag, value):
+        # a repeated flag's last value wins
+        assert main(SWEEP_ARGS + [flag, value, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "cells").exists()
+        assert not (tmp_path / "aggregate.csv").exists()
 
     def test_diverged_cell_becomes_error_cell(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -357,14 +389,23 @@ def test_list_parser_is_element_typed():
 
 
 class TestReplay:
-    def test_manifest_argv_reproduces_artifacts(self, dataset_dir, tmp_path):
-        # replay the argv recorded in the run manifest into a fresh directory
-        manifest = json.loads((dataset_dir / "run_manifest.json").read_text())
-        replay = tmp_path / "replay"
-        argv = list(manifest["argv"])
-        argv[argv.index("--out") + 1] = str(replay)
-        assert main(argv) == 0
-        assert artifact_bytes(replay) == artifact_bytes(dataset_dir)
+    def test_manifest_argv_reproduces_artifacts(self, dataset_dir, train_dir, sweep_dir, tmp_path):
+        eval_dir = tmp_path / "eval"
+        assert main(
+            ["eval", "--checkpoint", str(train_dir / "checkpoint.bin"), "--data", str(dataset_dir),
+             "--weights", str(train_dir / "weights.csv"), "--out", str(eval_dir)]
+        ) == 0
+        assert (eval_dir / "noise_detection.json").exists()
+        runs = {"gen-data": dataset_dir, "train": train_dir, "eval": eval_dir, "sweep": sweep_dir}
+        for command, out in runs.items():
+            # replay the argv recorded in the run manifest into a fresh directory
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["command"] == command
+            replay = tmp_path / f"replay-{command}"
+            argv = list(manifest["argv"])
+            argv[argv.index("--out") + 1] = str(replay)
+            assert main(argv) == 0, command
+            assert artifact_bytes(replay) == artifact_bytes(out), command
 
 
 class TestExitCodes:

@@ -22,7 +22,6 @@ from sphash.evaluator import (
     weight_density,
 )
 from sphash.fileio import write_csv
-from sphash.pacer import SampleWeights
 
 pm_codes = arrays(
     np.int8,
@@ -372,11 +371,6 @@ class TestNoiseDetection:
         assert score.precision == 0.0
         assert score.recall == 0.0
         assert score.f1 == 0.0
-
-    def test_accepts_sample_weights(self):
-        mask = np.array([True, False])
-        weights = SampleWeights(np.array([0.0, 1.0]), gamma=1.0)
-        assert noise_detection_score(weights, mask).f1 == 1.0
 
     def test_auc_orders_by_weight(self):
         # noisy instances carry lower weights: AUC must be high but below 1

@@ -367,11 +367,11 @@ class TestTotalLoss:
         batch = random_batch(rng, b=4, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=17)
         cfg = LossConfig(alpha=0.0)
-        warm, contrastive, _ = total_loss("warmup", batch, centers, None, cfg)
+        warm, contrastive, _ = total_loss(batch, centers, None, cfg)
         assert contrastive is None
         assert warm == cal_loss(batch, centers, cfg)[0]
         weights = SampleWeights(np.full(4, 0.5), gamma=1.1)
-        paced, contrastive, _ = total_loss("selfpaced", batch, centers, weights, cfg)
+        paced, contrastive, _ = total_loss(batch, centers, weights, cfg)
         assert contrastive is None
         assert paced == nsh_loss(batch, centers, weights, cfg)[0]
 
@@ -382,11 +382,11 @@ class TestTotalLoss:
         cfg = LossConfig(alpha=0.3)
         weights = SampleWeights(np.array([0.0, 0.4, 1.0, 0.7]), gamma=1.2)
         contrastive, c_grads = chl_loss(batch, cfg)
-        for phase, (center, grads) in (
-            ("warmup", cal_loss(batch, centers, cfg)),
-            ("selfpaced", nsh_loss(batch, centers, weights, cfg)),
+        for phase_weights, (center, grads) in (
+            (None, cal_loss(batch, centers, cfg)),
+            (weights, nsh_loss(batch, centers, weights, cfg)),
         ):
-            parts = total_loss(phase, batch, centers, weights, cfg)
+            parts = total_loss(batch, centers, phase_weights, cfg)
             assert parts[:2] == (center, contrastive)
             for got, g, cg in zip(parts[2], grads, c_grads):
                 assert got.tobytes() == (g + cfg.alpha * cg).tobytes()
@@ -397,9 +397,9 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=18)
         cfg = LossConfig(alpha=0.7)
         gamma = 1.4
-        warm, _ = objective(total_loss("warmup", batch, centers, None, cfg), cfg)
+        warm, _ = objective(total_loss(batch, centers, None, cfg), cfg)
         paced, _ = objective(
-            total_loss("selfpaced", batch, centers, SampleWeights(np.ones(4), gamma), cfg), cfg
+            total_loss(batch, centers, SampleWeights(np.ones(4), gamma), cfg), cfg
         )
         assert np.isclose(warm - paced, gamma / 2.0, atol=1e-12)
 
@@ -409,21 +409,7 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=19)
         cfg = LossConfig(alpha=1.2, tau=0.6)
         weights = SampleWeights(np.array([0.2, 0.8, 1.0]), gamma=1.0)
-        code_grad_check(lambda b: objective(total_loss("warmup", b, centers, None, cfg), cfg), batch)
+        code_grad_check(lambda b: objective(total_loss(b, centers, None, cfg), cfg), batch)
         code_grad_check(
-            lambda b: objective(total_loss("selfpaced", b, centers, weights, cfg), cfg), batch
+            lambda b: objective(total_loss(b, centers, weights, cfg), cfg), batch
         )
-
-    def test_unknown_phase(self):
-        rng = np.random.default_rng(22)
-        batch = random_batch(rng, b=3, m=2, length=4, k=3)
-        centers = init_centers(3, 4, seed=20)
-        with pytest.raises(ParameterError):
-            total_loss("finetune", batch, centers, None, LossConfig())
-
-    def test_selfpaced_requires_weights(self):
-        rng = np.random.default_rng(23)
-        batch = random_batch(rng, b=3, m=2, length=4, k=3)
-        centers = init_centers(3, 4, seed=21)
-        with pytest.raises(ParameterError):
-            total_loss("selfpaced", batch, centers, None, LossConfig())

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_argmin_weight, grid_max_instance_loss
+from sphash.data import one_hot
+from sphash.encoder import init_centers
 from sphash.errors import ParameterError
+from sphash.losses import BatchCodes, LossConfig, nsh_loss
 from sphash.pacer import (
     PaceSchedule,
     SampleWeights,
@@ -12,12 +15,29 @@ from sphash.pacer import (
     gamma_at,
     gamma_bounds,
     loss_upper_bound,
-    optimal_weight,
-    partition,
     refresh_weights,
-    regularizer,
     validate_schedule,
 )
+
+
+def optimal_weight(loss: float, gamma: float) -> float:
+    """The closed-form weight of one instance, as refresh_weights computes it."""
+    return float(refresh_weights(np.array([loss]), gamma).values[0])
+
+
+def regularizer(w: float, gamma: float) -> float:
+    """The pace penalty gamma*(w^2/2 - w), read back from nsh_loss.
+
+    The one instance's codes sit far along its class center, so its center
+    softmax is exactly one-hot, its loss exactly zero, and nsh_loss's value
+    is the penalty alone.
+    """
+    centers = init_centers(2, 4, seed=0)
+    codes = 1e3 * centers[:1]
+    batch = BatchCodes([codes, codes], one_hot(np.array([0]), 2))
+    value, grads = nsh_loss(batch, centers, SampleWeights(np.array([w]), gamma), LossConfig())
+    assert not any(g.any() for g in grads)
+    return value
 
 
 class TestOptimalWeight:
@@ -160,8 +180,7 @@ class TestPaceSchedule:
 class TestRefreshWeights:
     def test_all_zero_losses(self):
         weights = refresh_weights(np.zeros(5), gamma=1.0)
-        assert (weights.values == 1.0).all()
-        assert len(weights) == 5
+        assert weights.values.tolist() == [1.0] * 5
 
     def test_closed_form_values(self):
         gamma = 0.8
@@ -188,23 +207,11 @@ class TestVariantsAndPartition:
         up = binarize_weights(weights)
         assert up.values.tolist() == [0.0, 1.0, 1.0]
 
-    def test_partition_cases(self):
-        weights = SampleWeights(np.array([0.0, 0.3, 0.0, 1.0]), gamma=1.0)
-        clean, noisy = partition(weights)
-        assert noisy.tolist() == [0, 2]
-        assert clean.tolist() == [1, 3]
-
-    def test_partition_covers_everything(self):
-        rng = np.random.default_rng(2)
-        weights = refresh_weights(rng.uniform(0, 3, 50), gamma=1.2)
-        clean, noisy = partition(weights)
-        assert len(clean) + len(noisy) == 50
-        assert not set(clean.tolist()) & set(noisy.tolist())
-
     def test_all_positive_weights_mean_no_noisy(self):
-        weights = SampleWeights(np.full(4, 0.2), gamma=1.0)
-        _, noisy = partition(weights)
-        assert len(noisy) == 0
+        # every loss below gamma: no instance gets weight zero, none is flagged noisy
+        weights = refresh_weights(np.array([0.0, 0.3, 0.8, 0.99]), gamma=1.0)
+        assert (weights.values > 0).all()
+        assert (binarize_weights(weights).values == 1.0).all()
 
     def test_sample_weights_validation(self):
         with pytest.raises(ParameterError):

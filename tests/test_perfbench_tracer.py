@@ -1,0 +1,65 @@
+"""The benchmark tracer's view of the package stays valid.
+
+``perfbench/tracer.py`` wraps sphash functions by name and lists any it cannot
+find as missing instead of failing, and its counters swallow a missing
+parameter or attribute. So a rename would silently drop that layer's
+metrics. These tests load the tracer by path and check what it relies on,
+without installing it.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from sphash import pacer
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# parameters each of the tracer's counters reads from its call's bound arguments;
+# write_dataset's counter reads the returned path, refresh_weights' the result
+BOUND_PARAMETERS = {
+    "fileio.write_dataset": (),
+    "fileio.save_checkpoint": ("path",),
+    "trainer.write_weight_log_csv": ("path",),
+    "kernels.pairwise_hamming_packed": ("query_words", "gallery_words"),
+    "kernels.ap_scores": ("ranked_relevance",),
+    "pacer.refresh_weights": (),
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def entry_point(qualified: str):
+    module_name, name = qualified.split(".")
+    return getattr(importlib.import_module(f"sphash.{module_name}"), name, None)
+
+
+def test_every_entry_point_resolves():
+    tracer = load_tracer()
+    names = [f"{module}.{name}" for module, names in tracer.ENTRY_POINTS.items() for name in names]
+    assert [name for name in names if not callable(entry_point(name))] == []
+
+
+def test_counted_entry_points_keep_their_parameters():
+    tracer = load_tracer()
+    assert set(tracer.COUNTERS) == set(BOUND_PARAMETERS)
+    for qualified, params in BOUND_PARAMETERS.items():
+        signature = inspect.signature(entry_point(qualified))
+        assert set(params) <= set(signature.parameters), qualified
+
+
+def test_refresh_counter_reads_weight_values():
+    tracer = load_tracer()
+    result = pacer.refresh_weights(np.array([0.0, 0.5, 2.0, 3.0]), gamma=1.0)
+    assert isinstance(result.values, np.ndarray)
+    recorder = tracer.Tracer()
+    tracer.COUNTERS["pacer.refresh_weights"](recorder, {}, result)
+    assert recorder.counters == {"pacer.admitted_ratio.sum": 0.5}

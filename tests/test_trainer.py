@@ -8,11 +8,13 @@ from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, spli
 from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
 from sphash.fileio import load_checkpoint
-from sphash.losses import SELFPACED, WARMUP, LossConfig
+from sphash.losses import LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights
 from sphash.seeding import stable_seed
 from sphash.trainer import (
     OPTIMIZERS,
+    SELFPACED,
+    WARMUP,
     TrainConfig,
     _OptimizerState,
     resolve_config,
@@ -86,13 +88,15 @@ class TestConfigValidation:
         assert resolve_config(tiny_config(variant="no_chl"), 2).loss.alpha == 0.0
         assert resolve_config(tiny_config(variant="no_warmup"), 2).warmup_epochs == 0
 
-    def test_gamma_override_requires_pace(self):
-        with pytest.raises(ParameterError):
-            resolve_config(tiny_config(variant="gamma_override"), 2)
-        cfg = resolve_config(
-            tiny_config(variant="gamma_override", pace=PaceSchedule("fixed", gamma_start=200.0)), 2
+    def test_gamma_override_defaults_to_200(self):
+        assert resolve_config(tiny_config(variant="gamma_override"), 2).pace == PaceSchedule(
+            "fixed", gamma_start=200.0
         )
-        assert cfg.pace.gamma_start == 200.0
+        # an explicit pace wins, and is not held to the admissible interval
+        cfg = resolve_config(
+            tiny_config(variant="gamma_override", pace=PaceSchedule("fixed", gamma_start=50.0)), 2
+        )
+        assert cfg.pace.gamma_start == 50.0
 
     def test_out_of_bounds_schedule_rejected_for_normal_variants(self):
         with pytest.raises(ParameterError):
@@ -132,7 +136,7 @@ class TestStep:
         cfg = tiny_config(learning_rate=0.0)
         opt = _OptimizerState(cfg.optimizer, params)
         before = params.flat.copy()
-        step(params, centers, x, y, WARMUP, None, cfg, opt)
+        step(params, centers, x, y, None, cfg, opt)
         assert np.array_equal(before, params.flat)
 
     def test_identical_states_give_identical_updates(self):
@@ -141,8 +145,8 @@ class TestStep:
         cfg = tiny_config()
         opt1 = _OptimizerState(cfg.optimizer, params1)
         opt2 = _OptimizerState(cfg.optimizer, params2)
-        r1 = step(params1, centers, x, y, WARMUP, None, cfg, opt1)
-        r2 = step(params2, centers, x, y, WARMUP, None, cfg, opt2)
+        r1 = step(params1, centers, x, y, None, cfg, opt1)
+        r2 = step(params2, centers, x, y, None, cfg, opt2)
         assert r1 == r2
         assert params1.flat.tobytes() == params2.flat.tobytes()
 
@@ -152,7 +156,7 @@ class TestStep:
         opt = _OptimizerState("sgd", params)
         weights = SampleWeights(np.zeros(x[0].shape[0]), gamma=1.0)
         before = params.flat.copy()
-        step(params, centers, x, y, SELFPACED, weights, cfg, opt)
+        step(params, centers, x, y, weights, cfg, opt)
         assert np.array_equal(before, params.flat)
 
     def test_zero_weight_instance_contributes_no_data_gradient(self):
@@ -163,13 +167,12 @@ class TestStep:
         cfg = tiny_config(optimizer="sgd", learning_rate=1.0, loss=LossConfig(alpha=0.0))
         w_full = SampleWeights(np.array([0.0, 0.7, 1.0, 0.2, 0.5, 0.9]), gamma=1.0)
         w_drop = SampleWeights(w_full.values[1:], gamma=1.0)
-        step(params1, centers, x, y, SELFPACED, w_full, cfg, _OptimizerState("sgd", params1))
+        step(params1, centers, x, y, w_full, cfg, _OptimizerState("sgd", params1))
         step(
             params2,
             centers,
             [xm[1:] for xm in x],
             y[1:],
-            SELFPACED,
             w_drop,
             cfg,
             _OptimizerState("sgd", params2),
@@ -185,7 +188,7 @@ class TestStep:
         cfg = tiny_config()
         opt = _OptimizerState(cfg.optimizer, params)
         with pytest.raises(TrainingDivergedError) as err:
-            step(params, centers, x, y, WARMUP, None, cfg, opt, epoch=4, batch_index=2)
+            step(params, centers, x, y, None, cfg, opt, epoch=4, batch_index=2)
         assert err.value.epoch == 4
         assert err.value.batch == 2
 
