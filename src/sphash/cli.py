@@ -15,10 +15,11 @@ the manifest's argv reproduces every artifact byte for byte (the manifest
 itself records wall-clock time, so compare the artifacts, not the manifest).
 
 Exit codes: 0 success, 1 some sweep cell failed (its aggregate entries read
-"error"), 2 usage error, 3 I/O or file-format error, 4 numerical divergence
-during training, 5 checkpoint/dataset mismatch. sweep checks its whole grid
-before the first cell runs, so a bad noise rate, size, split or variant
-exits 2 and writes no cell.
+"error"), 2 usage error, 3 I/O error of any kind (an ``OSError``, which
+includes a file-format error), 4 numerical divergence during training, 5
+checkpoint/dataset mismatch. sweep checks its whole grid before the first
+cell runs, so an empty axis or a bad noise rate, size, split or variant exits
+2 and writes no cell.
 """
 
 from __future__ import annotations
@@ -55,22 +56,30 @@ _DEFAULT_VARIANT = trainer.TrainConfig.variant
 
 
 def _list_of(kind):
-    """Parser for comma-separated text (or a JSON list) into a list of ``kind``."""
+    """Parser for comma-separated text into a list of ``kind``; empty items are skipped."""
 
-    def parse(value) -> list:
-        if not isinstance(value, (list, tuple)):
-            value = [v for v in str(value).split(",") if v]
-        return [kind(v) for v in value]
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",") if v]
 
     parse.__name__ = f"{kind.__name__} list"  # named in argparse's error messages
     return parse
 
 
+def _gamma_ramp(text: str) -> tuple[float, float, int]:
+    """START:END:EPOCHS as (start, end, epochs)."""
+    try:
+        start, end, epochs = text.split(":")
+        return float(start), float(end), int(epochs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START:END:EPOCHS, got {text!r}") from None
+
+
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--config",
-        help="JSON file supplying defaults for any flag of this command; "
-        "flags given on the command line win",
+        help="JSON file of flags, read before the command line's own, which win: key k "
+        "with value v is --k=v (underscores for dashes), a list is comma-joined, true is "
+        "the bare switch, false and null are left out",
     )
 
 
@@ -100,17 +109,8 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_train_flags(p: argparse.ArgumentParser, bits_as_grid: bool = False) -> None:
-    if bits_as_grid:
-        p.add_argument(
-            "--bits", type=_list_of(int), default=[16, 32, 64, 128],
-            help="comma-separated code lengths (default 16,32,64,128)",
-        )
-    else:
-        p.add_argument(
-            "--bits", type=int, default=32,
-            help="hash code length; typical settings are 16, 32, 64 or 128 (default 32)",
-        )
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The training flags train and sweep share; each adds its own --bits and variant flag."""
     p.add_argument("--hidden", type=int, default=256, help="encoder hidden width (default 256)")
     p.add_argument("--batch-size", type=int, default=128, help="mini-batch size (default 128)")
     p.add_argument("--warmup", type=int, default=5, help="warm-up epochs before self-pacing (default 5)")
@@ -134,12 +134,8 @@ def _add_train_flags(p: argparse.ArgumentParser, bits_as_grid: bool = False) -> 
         help="fixed pace parameter; default is half the per-instance loss upper bound",
     )
     p.add_argument(
-        "--gamma-ramp", default=None, metavar="START:END:EPOCHS",
+        "--gamma-ramp", type=_gamma_ramp, default=None, metavar="START:END:EPOCHS",
         help="linear pace ramp over the self-paced phase, overrides --gamma",
-    )
-    p.add_argument(
-        "--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
-        help=f"ablation/robustness variant (default {_DEFAULT_VARIANT})",
     )
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     p.add_argument(
@@ -153,24 +149,16 @@ def _add_train_flags(p: argparse.ArgumentParser, bits_as_grid: bool = False) -> 
 
 
 def _build_pace(args) -> PaceSchedule | None:
-    if args.gamma_ramp:
-        parts = str(args.gamma_ramp).split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"--gamma-ramp must be START:END:EPOCHS, got {args.gamma_ramp!r}")
-        return PaceSchedule(
-            mode="linear_ramp",
-            gamma_start=float(parts[0]),
-            gamma_end=float(parts[1]),
-            ramp_epochs=int(parts[2]),
-        )
+    if args.gamma_ramp is not None:
+        return PaceSchedule(*args.gamma_ramp)
     if args.gamma is not None:
-        return PaceSchedule(mode="fixed", gamma_start=float(args.gamma))
+        return PaceSchedule(gamma_start=args.gamma)
     return None  # trainer.resolve_config picks the variant's default
 
 
-def _train_config(args) -> trainer.TrainConfig:
+def _train_config(args, bits: int, variant: str) -> trainer.TrainConfig:
     return trainer.TrainConfig(
-        code_length=args.bits,
+        code_length=bits,
         hidden_dim=args.hidden,
         batch_size=args.batch_size,
         warmup_epochs=args.warmup,
@@ -180,7 +168,7 @@ def _train_config(args) -> trainer.TrainConfig:
         loss=LossConfig(tau=args.tau, r=args.r, alpha=args.alpha),
         pace=_build_pace(args),
         seed=args.seed,
-        variant=args.variant,
+        variant=variant,
         eval_every=args.eval_every,
         clean_val=args.clean_val,
     )
@@ -265,7 +253,7 @@ def _run_training(dataset, manifest: dict, config: trainer.TrainConfig, out: Pat
 def cmd_train(args) -> int:
     started = time.time()
     dataset, manifest = read_dataset(Path(args.data))
-    config = _train_config(args)
+    config = _train_config(args, args.bits, args.variant)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report, _ = _run_training(dataset, manifest, config, out)
@@ -381,9 +369,12 @@ def cmd_eval(args) -> int:
 def _sweep_grid(args) -> tuple[SynthSpec, dict]:
     """The sweep's SynthSpec and one TrainConfig per (bits, variant), all checked.
 
-    Raises ParameterError for any bad noise rate, size, split or variant, so
-    a grid that cannot run fails before its first cell writes anything.
+    Raises ParameterError for an empty axis or any bad noise rate, size,
+    split or variant, so a grid that cannot run fails before its first cell
+    writes anything.
     """
+    if not (args.noise_rates and args.bits and args.variants):
+        raise ParameterError("the grid needs at least one noise rate, code length and variant")
     for noise in args.noise_rates:  # the check inject_symmetric_noise makes per cell
         if not 0.0 <= noise <= 1.0:
             raise ParameterError(f"noise rate {noise} outside [0, 1]")
@@ -392,8 +383,7 @@ def _sweep_grid(args) -> tuple[SynthSpec, dict]:
     configs = {}
     for bits in args.bits:
         for variant in args.variants:
-            cell_args = argparse.Namespace(**{**vars(args), "bits": bits, "variant": variant})
-            configs[bits, variant] = _train_config(cell_args)
+            configs[bits, variant] = _train_config(args, bits, variant)
             trainer.resolve_config(configs[bits, variant], spec.m)
     return spec, configs
 
@@ -457,14 +447,13 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
     return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphash",
         description="Self-paced cross-modal hashing under noisy labels",
     )
     parser.add_argument("--version", action="version", version=f"sphash {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser("gen-data", help="synthesize a dataset directory")
     _add_config_flag(p)
@@ -474,15 +463,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
-    commands["gen-data"] = p
 
     p = sub.add_parser("train", help="train hash encoders on a dataset directory")
     _add_config_flag(p)
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument(
+        "--bits", type=int, default=32,
+        help="hash code length; typical settings are 16, 32, 64 or 128 (default 32)",
+    )
+    p.add_argument(
+        "--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
+        help=f"ablation/robustness variant (default {_DEFAULT_VARIANT})",
+    )
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
-    commands["train"] = p
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     _add_config_flag(p)
@@ -494,63 +489,63 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--pr-points", type=int, default=21,
                    help="recall levels on the PR curves (default 21)")
     p.set_defaults(func=cmd_eval)
-    commands["eval"] = p
 
     p = sub.add_parser("sweep", help="train+eval over a noise x bits x variant grid")
     _add_config_flag(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
                    help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
+    p.add_argument("--bits", type=_list_of(int), default=[16, 32, 64, 128],
+                   help="comma-separated code lengths (default 16,32,64,128)")
     p.add_argument("--variants", type=_list_of(str), default=[_DEFAULT_VARIANT],
                    help=f"comma-separated variants (default {_DEFAULT_VARIANT})")
     _add_synth_flags(p)
-    _add_train_flags(p, bits_as_grid=True)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
-    commands["sweep"] = p
-    return parser, commands
+    return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, commands: dict, argv):
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return args
+def _config_flags(path: str) -> list[str]:
+    """The flags a --config file stands for: ``--key=value`` per key of its JSON object."""
     try:
-        values = json.loads(Path(config_path).read_text())
+        values = json.loads(Path(path).read_text())
     except ValueError as exc:
-        raise ParameterError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
-        raise ParameterError(f"config file {config_path} must hold a JSON object")
-    subparser = commands[args.command]
-    known = {action.dest for action in subparser._actions}
-    defaults = {}
+        raise ParameterError(f"config file {path} must hold a JSON object")
+    flags = []
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ParameterError(f"unknown config key {key!r} in {config_path}")
-        defaults[dest] = value
-    # file values become the subcommand's defaults, so explicit flags still win
-    subparser.set_defaults(**defaults)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            # every item ends in a comma: a list flag skips the empty last item,
+            # and a flag that takes one number rejects the text
+            value = "".join(f"{v}," for v in value)
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """argv parsed once, or twice with its --config file's flags put first."""
     args = parser.parse_args(argv)
-    # list-valued flags may arrive from JSON as strings or lists; normalize
-    kinds = {"dims": int, "noise_rates": float, "variants": str}
-    if args.command == "sweep":
-        kinds["bits"] = int
-    for dest, kind in kinds.items():
-        if hasattr(args, dest):
-            try:
-                setattr(args, dest, _list_of(kind)(getattr(args, dest)))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"config key {dest!r} in {config_path}: {exc}") from exc
-    return args
+    if not args.config:
+        return args
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    except SystemExit as exc:  # argparse has printed which flag failed
+        raise ParameterError(f"config file {args.config} does not parse as "
+                             f"{args.command} flags") from exc
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _apply_config_file(parser, commands, argv)
-        args.argv = raw_argv
+        args = _parse_args(parser, argv)
+        args.argv = argv
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -561,7 +556,7 @@ def main(argv=None) -> int:
     except CompatibilityError as exc:
         print(f"incompatible inputs: {exc}", file=sys.stderr)
         return 5
-    except (FileNotFoundError, IsADirectoryError, FormatError) as exc:
+    except OSError as exc:  # FormatError is one too
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

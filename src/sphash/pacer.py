@@ -10,6 +10,7 @@ degenerates (nothing selected / everything selected).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,21 +35,22 @@ class SampleWeights:
 
 @dataclass(frozen=True)
 class PaceSchedule:
-    """How gamma evolves over the self-paced epochs."""
+    """How gamma evolves over the self-paced epochs.
 
-    mode: str = "fixed"  # "fixed" or "linear_ramp"
+    gamma_start throughout when gamma_end is None, else a linear ramp to
+    gamma_end over ramp_epochs that then holds.
+    """
+
     gamma_start: float = 1.0
     gamma_end: float | None = None
     ramp_epochs: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "linear_ramp"):
-            raise ParameterError(f"unknown pace mode {self.mode!r}")
-        if not self.gamma_start > 0:
-            raise ParameterError(f"gamma_start={self.gamma_start} must be positive")
-        end = self.gamma_start if self.gamma_end is None else self.gamma_end
-        if end < self.gamma_start:
-            raise ParameterError("gamma_end must be >= gamma_start")
+        # the comparisons are written so that NaN fails them too
+        if not 0 < self.gamma_start < math.inf:
+            raise ParameterError(f"gamma_start={self.gamma_start} must be positive and finite")
+        if not self.gamma_start <= self.resolved_end < math.inf:
+            raise ParameterError(f"gamma_end={self.gamma_end} must be finite and >= gamma_start")
         if self.ramp_epochs < 1:
             raise ParameterError("ramp_epochs must be >= 1")
 
@@ -85,8 +87,6 @@ def gamma_at(schedule: PaceSchedule, epoch: int) -> float:
     """Gamma for the given epoch of the self-paced phase (0-based)."""
     if epoch < 0:
         raise ParameterError(f"epoch {epoch} must be >= 0")
-    if schedule.mode == "fixed":
-        return schedule.gamma_start
     frac = min(1.0, epoch / schedule.ramp_epochs)
     return schedule.gamma_start + (schedule.resolved_end - schedule.gamma_start) * frac
 

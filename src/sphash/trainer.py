@@ -114,11 +114,11 @@ def resolve_config(config: TrainConfig, n_modalities: int) -> TrainConfig:
     if config.variant == "gamma_override":
         # deliberately outside the admissible interval: every instance admitted
         if pace is None:
-            pace = PaceSchedule(mode="fixed", gamma_start=_GAMMA_OVERRIDE_DEFAULT)
+            pace = PaceSchedule(gamma_start=_GAMMA_OVERRIDE_DEFAULT)
     else:
         if pace is None:
             _, upper = pacer.gamma_bounds(n_modalities, loss_cfg.r)
-            pace = PaceSchedule(mode="fixed", gamma_start=0.5 * upper)
+            pace = PaceSchedule(gamma_start=0.5 * upper)
         pacer.validate_schedule(pace, n_modalities, loss_cfg.r)
     return dataclasses.replace(config, loss=loss_cfg, warmup_epochs=warmup, pace=pace)
 

@@ -50,7 +50,7 @@ def benchmark_splits(noise: float):
 
 def train_benchmark(noise: float, variant: str, tmp_path_factory):
     tr, va, te = benchmark_splits(noise)
-    pace = PaceSchedule("fixed", gamma_start=200.0) if variant == "gamma_override" else None
+    pace = PaceSchedule(gamma_start=200.0) if variant == "gamma_override" else None
     config = TrainConfig(
         code_length=BENCH["code_length"], seed=BENCH_SEED, variant=variant, pace=pace
     )

@@ -112,7 +112,7 @@ class TestTrain:
     def test_gamma_defaults_recorded_in_manifest(self, train_dir):
         manifest = json.loads((train_dir / "run_manifest.json").read_text())
         pace = manifest["config"]["train"]["pace"]
-        assert pace["mode"] == "fixed"
+        assert pace["gamma_end"] is None  # a fixed pace
         assert pace["gamma_start"] == pytest.approx(1.5)
 
     def test_gamma_override_defaults_to_200(self, dataset_dir, tmp_path):
@@ -233,15 +233,25 @@ class TestSweep:
             ("--n", "2"),  # fewer instances than classes
             ("--train-frac", "0.95"),  # with val 0.1: no test split
             ("--gamma", "5"),  # above the loss bound 3 of every non-override variant
+            ("--noise-rates", ""),
+            ("--bits", ","),
+            ("--variants", ""),
         ],
         ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits", "n-below-k",
-             "no-test-split", "gamma-above-bound"],
+             "no-test-split", "gamma-above-bound", "no-noise-rate", "no-bits", "no-variant"],
     )
     def test_bad_grid_exits_2_before_any_cell(self, tmp_path, flag, value):
         # a repeated flag's last value wins
         assert main(SWEEP_ARGS + [flag, value, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "cells").exists()
         assert not (tmp_path / "aggregate.csv").exists()
+
+    def test_singular_variant_flag_selects_the_variant_grid(self, tmp_path, monkeypatch):
+        # argparse resolves the prefix --variant to sweep's --variants; the last value wins
+        monkeypatch.setattr(cli_module, "_run_cell", lambda *args: (0.5, 0.5))
+        assert main(SWEEP_ARGS + ["--variant", "no_spl", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["config"]["variants"] == ["no_spl"]
 
     def test_diverged_cell_becomes_error_cell(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -272,6 +282,54 @@ class TestConfigFile:
         config.write_text(json.dumps({"plutonium": 1}))
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [("train", {"epochs": 12.5}), ("train", {"bits": 16.5}), ("train", {"hidden": 8.5}),
+         ("train", {"batch_size": 16.5}), ("train", {"clean_val": "no"}), ("train", {"seed": 1.5}),
+         ("train", {"eval_every": 1.5}), ("train", {"gamma_ramp": "1:2:x"}),
+         ("gen-data", {"noise_rate": [0.2]})],  # a list for a single-value flag
+        ids=lambda param: param if isinstance(param, str) else next(iter(param)),
+    )
+    def test_value_that_does_not_parse_as_its_flag_exit_2(self, dataset_dir, tmp_path, command,
+                                                          values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        data = ["--data", str(dataset_dir)] if command == "train" else []
+        assert main([command, "--config", str(config), *data, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_true_is_the_switch_and_null_is_left_out(self, dataset_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clean_val": True, "variant": "no_spl", "gamma": None}))
+        out = tmp_path / "model"
+        code = main(TRAIN_ARGS + ["--config", str(config), "--data", str(dataset_dir),
+                                  "--out", str(out)])
+        assert code == 0
+        train = json.loads((out / "run_manifest.json").read_text())["config"]["train"]
+        assert train["clean_val"] is True
+        assert train["variant"] == "no_spl"
+        assert train["pace"]["gamma_start"] == pytest.approx(1.5)  # the default pace
+
+    def test_gen_data_lists_match_flags(self, dataset_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 120, "k": 4, "m": 2, "dims": [10, 8],
+                                      "noise_rate": 0.5, "seed": 7}))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+        assert artifact_bytes(out) == artifact_bytes(dataset_dir)
+
+    def test_sweep_lists_match_flags(self, sweep_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "noise_rates": [0.2, 0.6], "bits": [8], "variants": ["full", "no_spl"],
+            "n": 90, "k": 3, "m": 2, "dims": [8, 6], "hidden": 10, "batch_size": 16,
+            "warmup": 1, "epochs": 3, "alpha": 0.1, "seed": 5,
+        }))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert artifact_bytes(out) == artifact_bytes(sweep_dir)
 
 
 BAD_MANIFESTS = {
@@ -344,6 +402,31 @@ class TestInputErrors:
         for value in ("nan", "inf"):
             assert main(args + [flag, value, "--out", str(tmp_path / value)]) == 2, value
 
+    @pytest.mark.parametrize("ramp", ["1:2:x", "a:2:3", "1:2", "1:2:3:4"])
+    def test_malformed_gamma_ramp_exit_2(self, dataset_dir, tmp_path, ramp):
+        args = TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as err:  # argparse rejects it, as any bad flag value
+            main(args + ["--gamma-ramp", ramp])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "pace", [["--gamma", "inf"], ["--gamma", "nan"], ["--gamma-ramp", "1:inf:2"],
+                 ["--gamma-ramp", "1:nan:2"]],
+        ids=["gamma-inf", "gamma-nan", "ramp-to-inf", "ramp-to-nan"],
+    )
+    def test_non_finite_gamma_override_exit_2_before_training(self, dataset_dir, tmp_path, pace):
+        out = tmp_path / "out"
+        args = TRAIN_ARGS + ["--variant", "gamma_override", "--data", str(dataset_dir)]
+        assert main(args + pace + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_out_naming_a_file_exit_3(self, dataset_dir, tmp_path):
+        existing = tmp_path / "file"
+        existing.write_text("")
+        assert main(GEN_ARGS + ["--out", str(existing)]) == 3  # FileExistsError
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(existing / "sub")])
+        assert code == 3  # NotADirectoryError
+
     @pytest.mark.parametrize("case", sorted(BAD_WEIGHT_DUMPS))
     def test_bad_weight_dump_typed_error(self, dataset_dir, train_dir, tmp_path, case):
         payload, expected = BAD_WEIGHT_DUMPS[case]
@@ -384,7 +467,6 @@ class TestInputErrors:
 
 def test_list_parser_is_element_typed():
     assert _list_of(int)("8,,6") == [8, 6]
-    assert _list_of(float)([1, "0.5"]) == [1.0, 0.5]
     assert _list_of(str)("full,no_spl") == ["full", "no_spl"]
 
 

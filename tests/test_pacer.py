@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,35 +148,36 @@ class TestGammaBounds:
 
 class TestPaceSchedule:
     def test_fixed(self):
-        sched = PaceSchedule(mode="fixed", gamma_start=1.2)
+        sched = PaceSchedule(gamma_start=1.2)
         for epoch in (0, 3, 100):
             assert gamma_at(sched, epoch) == 1.2
 
     def test_linear_ramp(self):
-        sched = PaceSchedule(mode="linear_ramp", gamma_start=1.0, gamma_end=2.0, ramp_epochs=10)
+        sched = PaceSchedule(gamma_start=1.0, gamma_end=2.0, ramp_epochs=10)
         assert gamma_at(sched, 0) == 1.0
         assert gamma_at(sched, 5) == 1.5
         assert gamma_at(sched, 10) == 2.0
         assert gamma_at(sched, 25) == 2.0
 
     def test_monotone_non_decreasing(self):
-        sched = PaceSchedule(mode="linear_ramp", gamma_start=0.3, gamma_end=2.4, ramp_epochs=7)
+        sched = PaceSchedule(gamma_start=0.3, gamma_end=2.4, ramp_epochs=7)
         values = [gamma_at(sched, e) for e in range(20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            PaceSchedule(mode="exponential", gamma_start=1.0)
+            PaceSchedule(gamma_start=0.0)
         with pytest.raises(ParameterError):
-            PaceSchedule(mode="fixed", gamma_start=0.0)
-        with pytest.raises(ParameterError):
-            PaceSchedule(mode="linear_ramp", gamma_start=2.0, gamma_end=1.0)
+            PaceSchedule(gamma_start=2.0, gamma_end=1.0)
+        for start, end in [(math.inf, None), (math.nan, None), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ParameterError):
+                PaceSchedule(gamma_start=start, gamma_end=end, ramp_epochs=2)
 
     def test_schedule_must_stay_inside_bounds(self):
-        sched = PaceSchedule(mode="fixed", gamma_start=1.0)
+        sched = PaceSchedule(gamma_start=1.0)
         validate_schedule(sched, 2, 0.5)  # upper bound 3.0
         with pytest.raises(ParameterError):
-            validate_schedule(PaceSchedule(mode="fixed", gamma_start=3.0), 2, 0.5)
+            validate_schedule(PaceSchedule(gamma_start=3.0), 2, 0.5)
 
 
 class TestRefreshWeights:

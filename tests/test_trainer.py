@@ -89,18 +89,17 @@ class TestConfigValidation:
         assert resolve_config(tiny_config(variant="no_warmup"), 2).warmup_epochs == 0
 
     def test_gamma_override_defaults_to_200(self):
-        assert resolve_config(tiny_config(variant="gamma_override"), 2).pace == PaceSchedule(
-            "fixed", gamma_start=200.0
-        )
+        cfg = resolve_config(tiny_config(variant="gamma_override"), 2)
+        assert cfg.pace == PaceSchedule(gamma_start=200.0)
         # an explicit pace wins, and is not held to the admissible interval
         cfg = resolve_config(
-            tiny_config(variant="gamma_override", pace=PaceSchedule("fixed", gamma_start=50.0)), 2
+            tiny_config(variant="gamma_override", pace=PaceSchedule(gamma_start=50.0)), 2
         )
         assert cfg.pace.gamma_start == 50.0
 
     def test_out_of_bounds_schedule_rejected_for_normal_variants(self):
         with pytest.raises(ParameterError):
-            resolve_config(tiny_config(pace=PaceSchedule("fixed", gamma_start=3.0)), 2)
+            resolve_config(tiny_config(pace=PaceSchedule(gamma_start=3.0)), 2)
 
 
 class TestOptimizer:
@@ -236,7 +235,7 @@ class TestTrainLoop:
 
     def test_gamma_override_admits_everyone(self, tmp_path):
         tr, va, _ = tiny_splits()
-        cfg = tiny_config(variant="gamma_override", pace=PaceSchedule("fixed", gamma_start=200.0))
+        cfg = tiny_config(variant="gamma_override", pace=PaceSchedule(gamma_start=200.0))
         report = train(tr, va, cfg, tmp_path)
         for snap in report.weight_log:
             assert (snap.weights > 0.9).all()
@@ -269,7 +268,7 @@ class TestTrainLoop:
     def test_linear_ramp_gamma_recorded(self, tmp_path):
         tr, va, _ = tiny_splits()
         cfg = tiny_config(
-            pace=PaceSchedule("linear_ramp", gamma_start=0.5, gamma_end=1.0, ramp_epochs=2)
+            pace=PaceSchedule(gamma_start=0.5, gamma_end=1.0, ramp_epochs=2)
         )
         report = train(tr, va, cfg, tmp_path)
         gammas = [rec.gamma for rec in report.records if rec.phase == SELFPACED]
