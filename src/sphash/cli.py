@@ -25,11 +25,11 @@ cell runs, so an empty axis or a bad noise rate, size, split or variant exits
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,14 @@ def _gamma_ramp(text: str) -> tuple[float, float, int]:
         return float(start), float(end), int(epochs)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected START:END:EPOCHS, got {text!r}") from None
+
+
+def _pr_points(text: str) -> int:
+    """A PR curve's recall level count: an int of at least 2."""
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 recall levels, got {points}")
+    return points
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -267,25 +275,34 @@ def cmd_train(args) -> int:
     return 0
 
 
+_WEIGHT_DUMP_DTYPE = np.dtype(
+    [(name, np.float64 if name in ("loss", "weight") else np.int64)
+     for name in trainer.WEIGHT_LOG_COLUMNS]
+)
+
+
 def _final_weight_dump(weights_csv: Path, n_instances: int):
     """Weights of the last dumped epoch: (instance_index array, weight array).
 
-    None when the dump has no rows. A file that does not parse as a weight
-    dump raises FormatError; an index outside the dataset's n_instances
-    raises CompatibilityError.
+    None when the dump has no rows. A file whose header is not
+    ``trainer.WEIGHT_LOG_COLUMNS``, or with a row that does not parse as
+    those columns (integer epoch, index and noise flag), raises FormatError;
+    an index outside the dataset's n_instances raises CompatibilityError.
     """
     try:
-        with open(weights_csv, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            return None
-        epochs = [int(row["epoch"]) for row in rows]
-        last_epoch = max(epochs)
-        final = [row for row, epoch in zip(rows, epochs) if epoch == last_epoch]
-        idx = np.array([int(row["instance_index"]) for row in final])
-        weights = np.array([float(row["weight"]) for row in final])
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
-        raise FormatError(f"{weights_csv}: not a weight dump ({exc!r})") from exc
+        with open(weights_csv) as fh:
+            if fh.readline().rstrip("\n") != ",".join(trainer.WEIGHT_LOG_COLUMNS):
+                raise FormatError(f"{weights_csv}: header is not {trainer.WEIGHT_LOG_COLUMNS}")
+            with warnings.catch_warnings():  # a header-only dump is valid and has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=_WEIGHT_DUMP_DTYPE)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise FormatError(f"{weights_csv}: not a weight dump ({exc})") from exc
+    if body.size == 0:
+        return None
+    last = body["epoch"] == body["epoch"].max()
+    idx, weights = body["instance_index"][last], body["weight"][last]
     if not np.all((weights >= 0.0) & (weights <= 1.0)):
         raise FormatError(f"{weights_csv}: weight outside [0, 1]")
     if idx.min() < 0 or idx.max() >= n_instances:
@@ -333,30 +350,24 @@ def cmd_eval(args) -> int:
             f"{dataset.class_count} classes"
         )
 
+    dump = _final_weight_dump(Path(args.weights), dataset.n) if args.weights else None
+
     train_ds, _, test_ds = _load_splits(manifest, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    # scored in a callee so the tasks' cached rankings are freed before the weights.csv parse
     artifacts = _write_retrieval_scores(params, train_ds, test_ds, out, args.pr_points)
-
-    weights_csv = Path(args.weights) if args.weights else None
-    if weights_csv and not weights_csv.exists():
-        raise FileNotFoundError(f"weight dump {weights_csv} does not exist")
-    if weights_csv and dataset.noise_mask.any():
-        dump = _final_weight_dump(weights_csv, dataset.n)
-        if dump is not None:
-            idx, weights = dump
-            score = evaluator.noise_detection_score(weights, dataset.noise_mask[idx])
-            write_json(out / "noise_detection.json", score)
-            histogram = evaluator.weight_density(weights, bins=20)
-            edges = histogram.edges.tolist()
-            write_csv(
-                out / "weights_histogram.csv",
-                ("bin_left", "bin_right", "density"),
-                zip(edges[:-1], edges[1:], histogram.masses.tolist()),
-            )
-            artifacts += ["noise_detection.json", "weights_histogram.csv"]
+    if dump is not None and dataset.noise_mask.any():
+        idx, weights = dump
+        score = evaluator.noise_detection_score(weights, dataset.noise_mask[idx])
+        write_json(out / "noise_detection.json", score)
+        histogram = evaluator.weight_density(weights, bins=20)
+        edges = histogram.edges.tolist()
+        write_csv(
+            out / "weights_histogram.csv",
+            ("bin_left", "bin_right", "density"),
+            zip(edges[:-1], edges[1:], histogram.masses.tolist()),
+        )
+        artifacts += ["noise_detection.json", "weights_histogram.csv"]
 
     _write_run_manifest(
         out, "eval",
@@ -486,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--weights", default=None,
                    help="weights.csv from train, enables the noise-detection report")
-    p.add_argument("--pr-points", type=int, default=21,
-                   help="recall levels on the PR curves (default 21)")
+    p.add_argument("--pr-points", type=_pr_points, default=21,
+                   help="recall levels on the PR curves, at least 2 (default 21)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train+eval over a noise x bits x variant grid")

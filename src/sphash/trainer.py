@@ -31,13 +31,14 @@ Variants (ablations and robustness probes):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluator, losses, pacer
+from . import evaluator, fileio, losses, pacer
 from .data import MultiModalDataset
 from .encoder import (
     HashEncoderParams,
@@ -64,6 +65,10 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _GAMMA_OVERRIDE_DEFAULT = 200.0
+
+# the weights.csv header, which eval --weights requires verbatim, and its row format
+WEIGHT_LOG_COLUMNS = ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth")
+_WEIGHT_LOG_ROW = "%d,%d,%.6f,%.6f,%d"
 
 
 @dataclass(frozen=True)
@@ -362,20 +367,19 @@ def write_report_csv(report: TrainReport, path) -> None:
 
 
 def write_weight_log_csv(report: TrainReport, train_ds: MultiModalDataset, path) -> None:
-    """Per-epoch weight dump enabling weight-density and detection analysis."""
+    """Per-epoch weight dump enabling weight-density and detection analysis.
+
+    One line per (self-paced epoch, training instance) under a header of
+    ``WEIGHT_LOG_COLUMNS``. The row format gives the bytes of
+    ``fileio.write_csv``'s cell rule for these int and float cells.
+    """
     rows = train_ds.source_rows
     if rows is None:
         rows = np.arange(train_ds.n)
-    # plain Python scalars: the cell rule formats them faster than numpy ones
     rows, noisy = rows.tolist(), train_ds.noise_mask.astype(int).tolist()
-    write_csv(
-        path,
-        ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth"),
-        (
-            (snap.epoch, row, loss, weight, is_noisy)
-            for snap in report.weight_log
-            for row, loss, weight, is_noisy in zip(
-                rows, snap.losses.tolist(), snap.weights.tolist(), noisy
-            )
-        ),
-    )
+    lines = [",".join(WEIGHT_LOG_COLUMNS)]
+    for snap in report.weight_log:
+        cells = zip(itertools.repeat(snap.epoch), rows, snap.losses.tolist(),
+                    snap.weights.tolist(), noisy)
+        lines += map(_WEIGHT_LOG_ROW.__mod__, cells)
+    fileio.atomic_write(Path(path), ("\n".join(lines) + "\n").encode())

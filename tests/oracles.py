@@ -5,6 +5,8 @@ formula transcription) and stays independent of the library code paths it
 checks.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -132,3 +134,21 @@ class NestedOptimizer:
                 v *= beta2
                 v += (1.0 - beta2) * g * g
                 arr -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+def final_weight_dump_reference(path):
+    """The last epoch's (instance_index, weight) arrays of a weight dump, by csv.DictReader.
+
+    None when the dump has no rows. Columns are found by header name and only
+    the epoch, index and weight cells are parsed.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        return None
+    epochs = [int(row["epoch"]) for row in rows]
+    last_epoch = max(epochs)
+    final = [row for row, epoch in zip(rows, epochs) if epoch == last_epoch]
+    idx = np.array([int(row["instance_index"]) for row in final])
+    weights = np.array([float(row["weight"]) for row in final])
+    return idx, weights

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sphash.cli as cli_module
 import sphash.fileio as fileio
@@ -11,6 +13,7 @@ from sphash.cli import _list_of, main
 from sphash.errors import TrainingDivergedError
 from sphash.fileio import read_dataset
 from sphash.data import split
+from oracles import final_weight_dump_reference
 
 
 def artifact_bytes(directory, skip=("run_manifest.json",)):
@@ -356,7 +359,17 @@ BAD_WEIGHT_DUMPS = {  # payload, expected exit code
     "nan weight": (WEIGHT_HEADER + "2,0,0.5,nan,0\n", 3),
     "index past the dataset": (WEIGHT_HEADER + "2,99999,0.5,0.2,0\n", 5),
     "negative index": (WEIGHT_HEADER + "2,-1,0.5,0.2,0\n", 5),
+    "empty file": ("", 3),
+    "reordered header": ("instance_index,epoch,loss,weight,is_noisy_ground_truth\n0,2,0.5,0.2,0\n", 3),
+    "extra column": (WEIGHT_HEADER.replace("\n", ",extra\n") + "2,0,0.5,0.2,0,1\n", 3),
+    "bad cell in an earlier epoch": (WEIGHT_HEADER + "1,0,0.5,heavy,0\n2,0,0.5,0.2,0\n", 3),
 }
+
+
+def eval_with_weights(train_dir, data, weights, out) -> int:
+    """Exit code of ``eval --weights`` on the checkpoint in train_dir."""
+    return main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"), "--data", str(data),
+                 "--weights", str(weights), "--out", str(out)])
 
 
 class TestInputErrors:
@@ -438,6 +451,45 @@ class TestInputErrors:
         )
         assert code == expected
 
+    @pytest.mark.parametrize("case", ["missing file", "unparsable weight", "index past the dataset"])
+    def test_bad_weight_dump_fails_before_any_retrieval_artifact(self, dataset_dir, train_dir,
+                                                                 tmp_path, case):
+        weights, out = tmp_path / "weights.csv", tmp_path / "out"
+        expected = 3
+        if case != "missing file":
+            payload, expected = BAD_WEIGHT_DUMPS[case]
+            weights.write_text(payload)
+        code = eval_with_weights(train_dir, dataset_dir, weights, out)
+        assert code == expected
+        assert not (out / "map.csv").exists()
+
+    def test_bad_weight_dump_exit_3_on_a_dataset_without_noise(self, train_dir, tmp_path):
+        clean = tmp_path / "clean"
+        assert main(GEN_ARGS + ["--noise-rate", "0.0", "--out", str(clean)]) == 0
+        weights, out = tmp_path / "weights.csv", tmp_path / "out"
+        weights.write_text(BAD_WEIGHT_DUMPS["unparsable weight"][0])
+        assert eval_with_weights(train_dir, clean, weights, out) == 3
+        assert not (out / "map.csv").exists()
+
+    def test_header_only_weight_dump_scores_no_detection(self, dataset_dir, train_dir, tmp_path):
+        weights, out = tmp_path / "weights.csv", tmp_path / "out"
+        weights.write_text(WEIGHT_HEADER)
+        code = eval_with_weights(train_dir, dataset_dir, weights, out)
+        assert code == 0
+        assert (out / "map.csv").exists()
+        assert not (out / "noise_detection.json").exists()
+
+    @pytest.mark.parametrize("points", ["1", "0", "two"])
+    def test_pr_points_below_two_exit_2_before_any_work(self, dataset_dir, train_dir, tmp_path,
+                                                        capsys, points):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:  # argparse rejects it, as any bad flag value
+            main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                  "--data", str(dataset_dir), "--out", str(out), "--pr-points", points])
+        assert err.value.code == 2
+        assert not out.exists()
+        assert "map_" not in capsys.readouterr().out
+
     def test_run_manifest_written_atomically(self, tmp_path, monkeypatch):
         """Every file each command leaves behind went through fileio.atomic_write."""
         written = set()
@@ -463,6 +515,65 @@ class TestInputErrors:
             assert "run_manifest.json" in {path.name for path in left}, command
             assert left - written == set(), command
         assert (tmp_path / "eval" / "noise_detection.json").exists()
+
+
+_DUMP_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 4),  # epoch: shuffled and repeated across rows
+        st.integers(0, 999),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1.0),
+        st.integers(0, 1),
+    ),
+    min_size=1, max_size=30,
+)
+# truncate at a position, flip one bit, or append bytes
+_DUMP_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(0, 7)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=40)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    data = bytearray(raw)
+    for kind, *arg in mutations:
+        if kind == "truncate":
+            del data[int(arg[0] * len(data)):]
+        elif kind == "flip" and data:
+            data[min(int(arg[0] * len(data)), len(data) - 1)] ^= 1 << arg[1]
+        elif kind == "extend":
+            data += arg[0]
+    return bytes(data)
+
+
+class TestWeightDump:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_DUMP_ROWS, newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans())
+    def test_reader_matches_dict_reader_oracle(self, tmp_path, rows, newline, trailing):
+        lines = [WEIGHT_HEADER.strip()] + [
+            f"{epoch},{index},{loss!r},{weight!r},{noisy}"
+            for epoch, index, loss, weight, noisy in rows
+        ]
+        path = tmp_path / "weights.csv"
+        path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+        idx, weights = cli_module._final_weight_dump(path, 1000)
+        ref_idx, ref_weights = final_weight_dump_reference(path)
+        assert idx.dtype == ref_idx.dtype and idx.tolist() == ref_idx.tolist()
+        assert weights.dtype == ref_weights.dtype
+        assert weights.tobytes() == ref_weights.tobytes()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=_DUMP_MUTATIONS)
+    def test_mutated_dump_exits_0_3_or_5(self, dataset_dir, train_dir, tmp_path, mutations):
+        weights = tmp_path / "weights.csv"
+        weights.write_bytes(_mutate((train_dir / "weights.csv").read_bytes(), mutations))
+        assert eval_with_weights(train_dir, dataset_dir, weights, tmp_path / "out") in (0, 3, 5)
 
 
 def test_list_parser_is_element_typed():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import NestedOptimizer
+from sphash.cli import _final_weight_dump
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
-from sphash.fileio import load_checkpoint
+from sphash.fileio import load_checkpoint, write_csv
 from sphash.losses import LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights
 from sphash.seeding import stable_seed
@@ -15,7 +16,10 @@ from sphash.trainer import (
     OPTIMIZERS,
     SELFPACED,
     WARMUP,
+    WEIGHT_LOG_COLUMNS,
     TrainConfig,
+    TrainReport,
+    WeightSnapshot,
     _OptimizerState,
     resolve_config,
     step,
@@ -302,3 +306,27 @@ class TestReportFiles:
         assert int(first[0]) == 2  # first self-paced epoch
         assert int(first[1]) in tr.source_rows
         assert first[4] in ("0", "1")
+
+    def test_weight_log_csv_follows_the_csv_rule_and_round_trips(self, tmp_path):
+        tr, _, _ = tiny_splits()
+        edges = [0.0, 1.0, 2.5e-7, 0.1234565, 0.9999995, 5e-7, 1.5e-6, 0.5]
+        losses = [0.0, 999.9999995, 1e3, 998.1234565, 2.5e-7, 0.1234565, 1.0, 3.0]
+        log = [
+            WeightSnapshot(epoch, 1.0, np.resize(np.roll(losses, epoch), tr.n),
+                           np.resize(np.roll(edges, epoch), tr.n))
+            for epoch in (2, 3, 4)
+        ]
+        report = TrainReport(tiny_config(), [], log, 0, 0.0, tmp_path / "checkpoint.bin")
+        path, reference = tmp_path / "weights.csv", tmp_path / "reference.csv"
+        write_weight_log_csv(report, tr, path)
+        write_csv(reference, WEIGHT_LOG_COLUMNS, [
+            (snap.epoch, int(row), float(loss), float(weight), int(noisy))
+            for snap in log
+            for row, loss, weight, noisy in zip(tr.source_rows, snap.losses, snap.weights,
+                                                tr.noise_mask)
+        ])
+        assert path.read_bytes() == reference.read_bytes()
+
+        idx, weights = _final_weight_dump(path, tr.source_rows.max() + 1)
+        assert idx.tolist() == tr.source_rows.tolist()
+        assert weights.tolist() == [float(f"{w:.6f}") for w in log[-1].weights.tolist()]
