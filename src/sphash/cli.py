@@ -17,9 +17,9 @@ itself records wall-clock time, so compare the artifacts, not the manifest).
 Exit codes: 0 success, 1 some sweep cell failed (its aggregate entries read
 "error"), 2 usage error, 3 I/O error of any kind (an ``OSError``, which
 includes a file-format error), 4 numerical divergence during training, 5
-checkpoint/dataset mismatch. sweep checks its whole grid before the first
-cell runs, so an empty axis or a bad noise rate, size, split or variant exits
-2 and writes no cell.
+a checkpoint or weight dump that does not fit the dataset. sweep checks its
+whole grid before the first cell runs, so an empty axis or a bad noise rate,
+size, split, code length or variant exits 2 and writes no cell.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ import dataclasses
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evaluator, trainer
-from .data import (
-    MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split, split_sizes,
-)
+from .data import SynthSpec, generate_synthetic, inject_noise_subset, split, split_sizes
+from .encoder import check_capacity
 from .errors import (
     CompatibilityError,
     FormatError,
@@ -45,13 +41,14 @@ from .errors import (
     SphashError,
     TrainingDivergedError,
 )
-from .fileio import load_checkpoint, read_dataset, write_csv, write_dataset, write_json
+from .fileio import (
+    DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, load_checkpoint, read_dataset, read_weight_log,
+    write_csv, write_dataset, write_json,
+)
 from .losses import LossConfig
 from .pacer import PaceSchedule
 from .seeding import stable_seed
 
-_DEFAULT_TRAIN_FRAC = 0.7
-_DEFAULT_VAL_FRAC = 0.1
 _DEFAULT_VARIANT = trainer.TrainConfig.variant
 
 
@@ -108,12 +105,12 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
         help="std of the per-instance latent perturbation (default 0.7)",
     )
     p.add_argument(
-        "--train-frac", type=float, default=_DEFAULT_TRAIN_FRAC,
-        help=f"training fraction of the split (default {_DEFAULT_TRAIN_FRAC})",
+        "--train-frac", type=float, default=DEFAULT_TRAIN_FRAC,
+        help=f"training fraction of the split (default {DEFAULT_TRAIN_FRAC})",
     )
     p.add_argument(
-        "--val-frac", type=float, default=_DEFAULT_VAL_FRAC,
-        help=f"validation fraction of the split (default {_DEFAULT_VAL_FRAC})",
+        "--val-frac", type=float, default=DEFAULT_VAL_FRAC,
+        help=f"validation fraction of the split (default {DEFAULT_VAL_FRAC})",
     )
 
 
@@ -196,16 +193,6 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
     write_json(out_dir / "run_manifest.json", manifest)
 
 
-def _load_splits(manifest: dict, dataset: MultiModalDataset):
-    spec = manifest.get("split", {})
-    return split(
-        dataset,
-        float(spec.get("train_frac", _DEFAULT_TRAIN_FRAC)),
-        float(spec.get("val_frac", _DEFAULT_VAL_FRAC)),
-        int(spec.get("seed", dataset.seed)),
-    )
-
-
 def _synth_spec(args) -> SynthSpec:
     return SynthSpec(
         n=args.n, k=args.k, m=args.m, dims=tuple(args.dims),
@@ -220,12 +207,12 @@ def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path) -> Pat
     Returns the manifest path.
     """
     dataset = generate_synthetic(spec)
-    train_ds, _, _ = split(dataset, args.train_frac, args.val_frac, spec.seed)
+    split_record = (args.train_frac, args.val_frac, spec.seed)
+    train_ds, _, _ = split(dataset, *split_record)
     noised = inject_noise_subset(
         dataset, train_ds.source_rows, noise_rate, stable_seed(spec.seed, "train-noise")
     )
-    split_spec = {"train_frac": args.train_frac, "val_frac": args.val_frac, "seed": spec.seed}
-    return write_dataset(noised, out, split_spec=split_spec)
+    return write_dataset(noised, out, split_record)
 
 
 def cmd_gen_data(args) -> int:
@@ -241,8 +228,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_training(dataset, manifest: dict, config: trainer.TrainConfig, out: Path):
-    train_ds, val_ds, test_ds = _load_splits(manifest, dataset)
+def _run_training(dataset, split_record, config: trainer.TrainConfig, out: Path):
+    train_ds, val_ds, test_ds = split(dataset, *split_record)
     report = trainer.train(train_ds, val_ds, config, out)
     trainer.write_report_csv(report, out / "report.csv")
     write_csv(
@@ -260,11 +247,12 @@ def _run_training(dataset, manifest: dict, config: trainer.TrainConfig, out: Pat
 
 def cmd_train(args) -> int:
     started = time.time()
-    dataset, manifest = read_dataset(Path(args.data))
+    dataset, split_record = read_dataset(Path(args.data))
     config = _train_config(args, args.bits, args.variant)
+    check_capacity(dataset.class_count, config.code_length)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, _ = _run_training(dataset, manifest, config, out)
+    report, _ = _run_training(dataset, split_record, config, out)
     artifacts = ["checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv"]
     _write_run_manifest(out, "train", {"train": report.config, "data": str(args.data)},
                         args.seed, artifacts, started, args.argv)
@@ -275,57 +263,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-_WEIGHT_DUMP_DTYPE = np.dtype(
-    [(name, np.float64 if name in ("loss", "weight") else np.int64)
-     for name in trainer.WEIGHT_LOG_COLUMNS]
-)
+def _test_split_scores(params, train_ds, test_ds) -> list:
+    """(task, MAP) for I2T, then T2I.
 
-
-def _final_weight_dump(weights_csv: Path, n_instances: int):
-    """Weights of the last dumped epoch: (instance_index array, weight array).
-
-    None when the dump has no rows. A file whose header is not
-    ``trainer.WEIGHT_LOG_COLUMNS``, or with a row that does not parse as
-    those columns (integer epoch, index and noise flag), raises FormatError;
-    an index outside the dataset's n_instances raises CompatibilityError.
+    Test-split queries against the train-split gallery, relevance by true labels.
     """
-    try:
-        with open(weights_csv) as fh:
-            if fh.readline().rstrip("\n") != ",".join(trainer.WEIGHT_LOG_COLUMNS):
-                raise FormatError(f"{weights_csv}: header is not {trainer.WEIGHT_LOG_COLUMNS}")
-            with warnings.catch_warnings():  # a header-only dump is valid and has no rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                                  dtype=_WEIGHT_DUMP_DTYPE)
-    except ValueError as exc:  # UnicodeDecodeError is one too
-        raise FormatError(f"{weights_csv}: not a weight dump ({exc})") from exc
-    if body.size == 0:
-        return None
-    last = body["epoch"] == body["epoch"].max()
-    idx, weights = body["instance_index"][last], body["weight"][last]
-    if not np.all((weights >= 0.0) & (weights <= 1.0)):
-        raise FormatError(f"{weights_csv}: weight outside [0, 1]")
-    if idx.min() < 0 or idx.max() >= n_instances:
-        raise CompatibilityError(
-            f"{weights_csv}: instance index outside the dataset's {n_instances} instances"
-        )
-    return idx, weights
-
-
-def _test_split_tasks(params, train_ds, test_ds):
-    """I2T and T2I: test-split queries against the train-split gallery, true labels."""
-    return evaluator.cross_modal_tasks(
+    tasks = evaluator.cross_modal_tasks(
         trainer.binary_codes(params, test_ds), test_ds.true_labels,
         trainer.binary_codes(params, train_ds), train_ds.true_labels,
     )
+    return [(task, evaluator.mean_average_precision(task)) for task in tasks]
 
 
 def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int) -> list[str]:
     """Write map.csv and one PR curve per direction; returns the artifact names."""
     artifacts, map_rows = [], []
-    for task in _test_split_tasks(params, train_ds, test_ds):
+    for task, score in _test_split_scores(params, train_ds, test_ds):
         direction = task.direction.lower()
-        score = evaluator.mean_average_precision(task)
         map_rows.append((direction, score))
         print(f"map_{direction} {score:.4f}")
         points = evaluator.pr_curve(task, pr_points)
@@ -339,7 +293,7 @@ def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int
 def cmd_eval(args) -> int:
     started = time.time()
     params, centers = load_checkpoint(Path(args.checkpoint))
-    dataset, manifest = read_dataset(Path(args.data))
+    dataset, split_record = read_dataset(Path(args.data))
     if params.dims != dataset.dims:
         raise CompatibilityError(
             f"checkpoint expects feature dims {params.dims}, dataset has {dataset.dims}"
@@ -350,14 +304,22 @@ def cmd_eval(args) -> int:
             f"{dataset.class_count} classes"
         )
 
-    dump = _final_weight_dump(Path(args.weights), dataset.n) if args.weights else None
+    train_ds, _, test_ds = split(dataset, *split_record)
+    dump = read_weight_log(args.weights) if args.weights else None
+    if dump is not None:  # its last epoch lists this dataset's training split, each row once
+        idx, weights, noisy = dump
+        listed, rows = idx[idx.argsort()], train_ds.source_rows  # split sorts its rows
+        if (listed[1:] == listed[:-1]).any():
+            raise FormatError(f"{args.weights}: the last epoch lists an instance more than once")
+        if (listed.shape != rows.shape or (listed != rows).any()
+                or (noisy != dataset.noise_mask[idx]).any()):
+            raise CompatibilityError(f"{args.weights}: the last epoch is not this dataset's "
+                                     "training split with its noise mask")
 
-    train_ds, _, test_ds = _load_splits(manifest, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = _write_retrieval_scores(params, train_ds, test_ds, out, args.pr_points)
     if dump is not None and dataset.noise_mask.any():
-        idx, weights = dump
         score = evaluator.noise_detection_score(weights, dataset.noise_mask[idx])
         write_json(out / "noise_detection.json", score)
         histogram = evaluator.weight_density(weights, bins=20)
@@ -378,11 +340,11 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_grid(args) -> tuple[SynthSpec, dict]:
-    """The sweep's SynthSpec and one TrainConfig per (bits, variant), all checked.
+    """The sweep's SynthSpec and one resolved TrainConfig per (bits, variant), all checked.
 
     Raises ParameterError for an empty axis or any bad noise rate, size,
-    split or variant, so a grid that cannot run fails before its first cell
-    writes anything.
+    split, code length or variant, so a grid that cannot run fails before
+    its first cell writes anything.
     """
     if not (args.noise_rates and args.bits and args.variants):
         raise ParameterError("the grid needs at least one noise rate, code length and variant")
@@ -393,9 +355,11 @@ def _sweep_grid(args) -> tuple[SynthSpec, dict]:
     split_sizes(spec.n, args.train_frac, args.val_frac)
     configs = {}
     for bits in args.bits:
+        check_capacity(spec.k, bits)
         for variant in args.variants:
-            configs[bits, variant] = _train_config(args, bits, variant)
-            trainer.resolve_config(configs[bits, variant], spec.m)
+            configs[bits, variant] = trainer.resolve_config(
+                _train_config(args, bits, variant), spec.m
+            )
     return spec, configs
 
 
@@ -440,6 +404,10 @@ def cmd_sweep(args) -> int:
         "variants": args.variants,
         "epochs": args.epochs,
         "n": args.n,
+        # each cell reseeds these with stable_seed(seed, noise, bits, variant)
+        "synth": spec,
+        "split": {"train_frac": args.train_frac, "val_frac": args.val_frac},
+        "train": list(configs.values()),
     }
     _write_run_manifest(out, "sweep", grid, args.seed, ["aggregate.csv"], started, args.argv)
     print(f"aggregate table at {out / 'aggregate.csv'}")
@@ -450,12 +418,12 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
               cell_dir: Path):
     """gen-data + train + test-split MAP for one sweep cell, spec and config reseeded."""
     spec, config = dataclasses.replace(spec, seed=seed), dataclasses.replace(config, seed=seed)
-    dataset, manifest = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
-    report, (train_ds, _, test_ds) = _run_training(dataset, manifest, config, cell_dir / "train")
+    dataset, split_record = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
+    report, (train_ds, _, test_ds) = _run_training(dataset, split_record, config,
+                                                   cell_dir / "train")
 
     params, _ = load_checkpoint(report.checkpoint_path)
-    i2t, t2i = _test_split_tasks(params, train_ds, test_ds)
-    return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
+    return tuple(score for _, score in _test_split_scores(params, train_ds, test_ds))
 
 
 def build_parser() -> argparse.ArgumentParser:

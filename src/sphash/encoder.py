@@ -145,14 +145,19 @@ def binarize(codes: np.ndarray) -> np.ndarray:
     return np.where(codes >= 0, 1, -1).astype(np.int8)
 
 
-def init_centers(class_count: int, code_length: int, seed: int) -> np.ndarray:
-    """K distinct random {-1,+1}^L rows, fixed for the whole run."""
-    if class_count < 1 or code_length < 1:
-        raise ParameterError("class_count and code_length must be positive")
+def check_capacity(class_count: int, code_length: int) -> None:
+    """CapacityError unless {-1,+1}^code_length holds class_count distinct centers."""
     if 2**code_length < class_count:
         raise CapacityError(
             f"cannot place {class_count} distinct centers in {{-1,+1}}^{code_length}"
         )
+
+
+def init_centers(class_count: int, code_length: int, seed: int) -> np.ndarray:
+    """K distinct random {-1,+1}^L rows, fixed for the whole run."""
+    if class_count < 1 or code_length < 1:
+        raise ParameterError("class_count and code_length must be positive")
+    check_capacity(class_count, code_length)
     rng = spawn_rng(seed, "hash-centers")
     centers = np.empty((class_count, code_length), dtype=np.int8)
     seen = set()

@@ -9,15 +9,15 @@ class ParameterError(SphashError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class ShapeError(SphashError, ValueError):
+class ShapeError(ParameterError):
     """Array dimensions do not line up."""
 
 
-class LabelError(SphashError, ValueError):
+class LabelError(ParameterError):
     """A label matrix violates its contract (empty row, multi-hot where unsupported)."""
 
 
-class CapacityError(SphashError, ValueError):
+class CapacityError(ParameterError):
     """Requested more distinct binary codes than the code length can hold."""
 
 

@@ -1,17 +1,21 @@
-"""On-disk formats.
+"""On-disk formats: the one module that reads or writes any of them.
 
 Feature file ("FMAT"): 24-byte header — 4-byte magic, u16 version, u16
 reserved zero, u64 row count, u64 column count, all little-endian — followed
 by rows*cols float32 values in row-major order. Label file ("LMAT") shares
 the header layout with its own magic and a payload of one byte per entry in
 {0,1}. A dataset is a directory of these files tied together by a JSON
-manifest; a model checkpoint is a single binary with its own magic.
+manifest, which also records the split (train_frac, val_frac, seed); a model
+checkpoint is a single binary with its own magic. One bounded reader
+(``_Reader``) parses every binary file.
 
 Text artifacts follow one rule each. CSV (``write_csv``): a header line of
 column names, one line per row and a trailing newline; a cell is empty for
 None, six decimals for a float and ``str`` of anything else. JSON
 (``write_json``): two-space indent, sorted keys and a trailing newline, with
-dataclasses, numpy scalars and paths converted.
+dataclasses, numpy scalars and paths converted. The weight dump
+``weights.csv`` is a CSV of ``WEIGHT_LOG_COLUMNS``, one row per self-paced
+epoch and training instance.
 
 Every artifact, binary or text, is written to a temp file beside its target
 and renamed over it, so readers never see a partial file.
@@ -20,20 +24,22 @@ and renamed over it, so readers never see a partial file.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .data import MultiModalDataset
+from .data import MultiModalDataset, split_sizes
 from .encoder import HashEncoderParams, flat_size
 from .errors import (
     BadMagicError,
     DimensionOverflowError,
     FormatError,
-    LabelError,
     ParameterError,
     TruncatedPayloadError,
 )
@@ -45,6 +51,17 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHHQQ")
 _MAX_ELEMENTS = 1 << 40  # anything larger is a corrupt header, not a real matrix
+
+# the split record's fallback when a manifest has none; gen-data's and sweep's defaults
+DEFAULT_TRAIN_FRAC = 0.7
+DEFAULT_VAL_FRAC = 0.1
+
+# the weights.csv header, which read_weight_log requires verbatim, and its row format
+WEIGHT_LOG_COLUMNS = ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth")
+_WEIGHT_LOG_ROW = "%d,%d,%.6f,%.6f,%d"
+_WEIGHT_LOG_DTYPE = np.dtype(
+    [(name, np.float64 if name in ("loss", "weight") else np.int64) for name in WEIGHT_LOG_COLUMNS]
+)
 
 
 def atomic_write(path: Path, payload: bytes) -> None:
@@ -70,6 +87,42 @@ def write_csv(path, columns, rows) -> None:
     atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
 
 
+def write_weight_log(path, snapshots, instance_index, noisy) -> None:
+    """One row per snapshot (epoch, losses, weights) and instance, in write_csv's bytes."""
+    rows, noisy = instance_index.tolist(), noisy.astype(int).tolist()
+    lines = [",".join(WEIGHT_LOG_COLUMNS)]
+    for snap in snapshots:
+        cells = zip(itertools.repeat(snap.epoch), rows, snap.losses.tolist(),
+                    snap.weights.tolist(), noisy)
+        lines += map(_WEIGHT_LOG_ROW.__mod__, cells)
+    atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+
+
+def read_weight_log(path):
+    """The last epoch's (instance_index, weight, is_noisy_ground_truth), None if no rows.
+
+    FormatError for a header other than ``WEIGHT_LOG_COLUMNS``, a row that does
+    not parse as those columns or a weight outside [0, 1].
+    """
+    try:
+        with open(path) as fh:
+            if fh.readline().rstrip("\n") != ",".join(WEIGHT_LOG_COLUMNS):
+                raise FormatError(f"{path}: header is not {WEIGHT_LOG_COLUMNS}")
+            with warnings.catch_warnings():  # a header-only dump is valid and has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=_WEIGHT_LOG_DTYPE)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise FormatError(f"{path}: not a weight dump ({exc})") from exc
+    if body.size == 0:
+        return None
+    last = body[body["epoch"] == body["epoch"].max()]
+    weights = last["weight"]
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):
+        raise FormatError(f"{path}: weight outside [0, 1]")
+    return last["instance_index"], weights, last["is_noisy_ground_truth"]
+
+
 def _json_default(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return dataclasses.asdict(obj)
@@ -86,68 +139,81 @@ def write_json(path, obj) -> None:
     atomic_write(Path(path), (text + "\n").encode())
 
 
-def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int]:
-    if len(raw) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
-    got_magic, version, reserved, rows, cols = _HEADER.unpack_from(raw)
-    if got_magic != magic:
-        raise BadMagicError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if reserved != 0:
-        raise FormatError(f"{path}: reserved header bytes are not zero")
+class _Reader:
+    """A binary file read front to back: header, bounded typed blocks, no trailing bytes."""
+
+    def __init__(self, path, magic: bytes):
+        self.path, self.raw = path, Path(path).read_bytes()
+        if len(self.raw) < _HEADER.size:
+            raise TruncatedPayloadError(f"{path}: file shorter than header")
+        got, version, reserved, *self.sizes = _HEADER.unpack_from(self.raw)
+        if got != magic:
+            raise BadMagicError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if reserved != 0:
+            raise FormatError(f"{path}: reserved header bytes are not zero")
+        self.offset = _HEADER.size
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        """The next block: a writable array of this shape, read as dtype."""
+        itemsize, count = np.dtype(dtype).itemsize, math.prod(shape)
+        block = self.raw[self.offset : self.offset + count * itemsize]
+        if len(block) < count * itemsize:
+            row_bytes = count // shape[0] * itemsize
+            raise TruncatedPayloadError(
+                f"{self.path}: payload holds {len(block) // row_bytes} of {shape[0]} declared rows"
+            )
+        self.offset += len(block)
+        return np.frombuffer(block, dtype=dtype).reshape(shape).copy()
+
+    def finish(self) -> None:
+        if self.offset != len(self.raw):
+            raise FormatError(
+                f"{self.path}: {len(self.raw) - self.offset} trailing bytes after payload"
+            )
+
+
+def _save_matrix(matrix: np.ndarray, path, magic: bytes, dtype, kind: str) -> None:
+    """The shared FMAT/LMAT layout: header, then the row-major payload as dtype."""
+    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        raise ParameterError(f"{kind} matrix must be 2-d and non-empty, got shape {matrix.shape}")
+    header = _HEADER.pack(magic, FORMAT_VERSION, 0, *matrix.shape)
+    atomic_write(Path(path), header + matrix.astype(dtype).tobytes())
+
+
+def _load_matrix(path, magic: bytes, dtype) -> np.ndarray:
+    reader = _Reader(path, magic)
+    rows, cols = reader.sizes
     if rows == 0 or cols == 0:
         raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
     if rows * cols > _MAX_ELEMENTS:
         raise DimensionOverflowError(f"{path}: header declares {rows}x{cols} elements")
-    return rows, cols
+    matrix = reader.take((rows, cols), dtype)
+    reader.finish()
+    return matrix
 
 
 def save_features(matrix: np.ndarray, path) -> None:
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
-        raise ParameterError(f"feature matrix must be 2-d and non-empty, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ParameterError("feature matrix contains non-finite values")
-    header = _HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, 0, *matrix.shape)
-    atomic_write(Path(path), header + matrix.astype("<f4").tobytes())
+    _save_matrix(matrix, path, FEATURE_MAGIC, "<f4", "feature")
 
 
 def load_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    rows, cols = _read_header(raw, FEATURE_MAGIC, path)
-    expected = rows * cols * 4
-    payload = raw[_HEADER.size :]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload) // (cols * 4)} of {rows} declared rows"
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    return _load_matrix(path, FEATURE_MAGIC, "<f4")
 
 
 def save_labels(matrix: np.ndarray, path) -> None:
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
-        raise ParameterError(f"label matrix must be 2-d and non-empty, got shape {matrix.shape}")
     if not np.isin(matrix, (0, 1)).all():
         raise ParameterError("label matrix entries must be 0 or 1")
-    header = _HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, 0, *matrix.shape)
-    atomic_write(Path(path), header + matrix.astype(np.uint8).tobytes())
+    _save_matrix(matrix, path, LABEL_MAGIC, np.uint8, "label")
 
 
 def load_labels(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    rows, cols = _read_header(raw, LABEL_MAGIC, path)
-    payload = raw[_HEADER.size :]
-    if len(payload) < rows * cols:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload) // cols} of {rows} declared rows"
-        )
-    if len(payload) > rows * cols:
-        raise FormatError(f"{path}: {len(payload) - rows * cols} trailing bytes after payload")
-    matrix = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols).copy()
+    matrix = _load_matrix(path, LABEL_MAGIC, np.uint8)
     if not np.isin(matrix, (0, 1)).all():
         raise FormatError(f"{path}: payload byte outside {{0,1}}")
     return matrix
@@ -159,9 +225,12 @@ MANIFEST_NAME = "manifest.json"
 def write_dataset(
     dataset: MultiModalDataset,
     out_dir,
-    split_spec: dict | None = None,
+    split: tuple[float, float, int] | None = None,
 ) -> Path:
-    """Write modality/label/mask files plus the JSON manifest; returns its path."""
+    """Write modality/label/mask files plus the JSON manifest; returns its path.
+
+    ``split`` is the (train_frac, val_frac, seed) record read_dataset returns.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -179,15 +248,19 @@ def write_dataset(
     save_labels(dataset.labels, out_dir / manifest["labels"])
     save_labels(dataset.true_labels, out_dir / manifest["true_labels"])
     save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / manifest["mask"])
-    if split_spec is not None:
-        manifest["split"] = dict(split_spec)
+    if split is not None:
+        manifest["split"] = dict(zip(_SPLIT_TYPES, split))
     path = out_dir / MANIFEST_NAME
     write_json(path, manifest)
     return path
 
 
-def read_dataset(manifest_path) -> tuple[MultiModalDataset, dict]:
-    """Load a dataset directory; returns (dataset, manifest dict)."""
+def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, int]]:
+    """Load a dataset directory; returns (dataset, (train_frac, val_frac, seed)).
+
+    A missing split key falls back to its default, the seed to the dataset's;
+    a split that leaves a part empty is a FormatError.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
@@ -205,17 +278,22 @@ def read_dataset(manifest_path) -> tuple[MultiModalDataset, dict]:
         class_count=manifest["class_count"],
         seed=manifest["seed"],
     )
+    record = manifest.get("split", {})
+    train_frac = float(record.get("train_frac", DEFAULT_TRAIN_FRAC))
+    val_frac = float(record.get("val_frac", DEFAULT_VAL_FRAC))
     try:
         dataset.validate()
-    except (ParameterError, LabelError) as exc:
-        raise FormatError(f"{manifest_path}: inconsistent dataset files: {exc}") from exc
-    return dataset, manifest
+        split_sizes(dataset.n, train_frac, val_frac)
+    except ParameterError as exc:
+        raise FormatError(f"{manifest_path}: inconsistent dataset: {exc}") from exc
+    return dataset, (train_frac, val_frac, int(record.get("seed", dataset.seed)))
 
 
 _MANIFEST_TYPES = {
     "modalities": list, "labels": str, "true_labels": str, "mask": str,
     "class_count": int, "seed": int,
 }
+# the split record's keys, in the order of read_dataset's (train_frac, val_frac, seed)
 _SPLIT_TYPES = {"train_frac": (int, float), "val_frac": (int, float), "seed": int}
 
 
@@ -239,54 +317,27 @@ def _check_manifest(manifest, path) -> None:
 
 
 def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> None:
-    """Model checkpoint: header, sizes, centers as int8, then the f32 flat weights."""
-    dims = params.dims
-    chunks = [_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, 0, len(dims), params.hidden_dim)]
-    chunks.append(struct.pack("<QQ", params.code_length, centers.shape[0]))
-    chunks.append(struct.pack(f"<{len(dims)}Q", *dims))
-    chunks.append(centers.astype(np.int8).tobytes())
-    chunks.append(params.flat.astype("<f4").tobytes())
-    atomic_write(Path(path), b"".join(chunks))
+    """Model checkpoint: header, u64 sizes, centers as int8, then the f32 flat weights."""
+    header = _HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, 0, len(params.dims), params.hidden_dim)
+    sizes = np.array([params.code_length, centers.shape[0], *params.dims], dtype="<u8")
+    blocks = (sizes, centers.astype(np.int8), params.flat.astype("<f4"))
+    atomic_write(Path(path), header + b"".join(block.tobytes() for block in blocks))
 
 
 def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:
     """Inverse of save_checkpoint; FormatError for any malformed or non-finite payload."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 16:
-        raise TruncatedPayloadError(f"{path}: file shorter than checkpoint header")
-    magic, version, reserved, n_mod, hidden = _HEADER.unpack_from(raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    if version != FORMAT_VERSION or reserved != 0:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = _HEADER.size
-    code_length, class_count = struct.unpack_from("<QQ", raw, offset)
-    offset += 16
+    reader = _Reader(path, CHECKPOINT_MAGIC)
+    n_mod, hidden = reader.sizes
+    code_length, class_count, *dims = reader.take((2 + n_mod,), "<u8").tolist()
     if n_mod == 0 or n_mod > 64 or hidden == 0 or code_length == 0 or class_count == 0:
         raise FormatError(f"{path}: implausible checkpoint sizes")
-    need = n_mod * 8
-    if len(raw) < offset + need:
-        raise TruncatedPayloadError(f"{path}: truncated modality dims")
-    dims = struct.unpack_from(f"<{n_mod}Q", raw, offset)
-    offset += need
     if any(d == 0 for d in dims) or max(dims) * hidden > _MAX_ELEMENTS:
         raise DimensionOverflowError(f"{path}: implausible dims {dims}")
-
-    def take(count: int, dtype) -> np.ndarray:
-        nonlocal offset
-        nbytes = count * np.dtype(dtype).itemsize
-        if len(raw) < offset + nbytes:
-            raise TruncatedPayloadError(f"{path}: checkpoint payload truncated")
-        out = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        offset += nbytes
-        return out
-
-    centers = take(class_count * code_length, np.int8).reshape(class_count, code_length).copy()
+    centers = reader.take((class_count, code_length), np.int8)
     if not np.isin(centers, (-1, 1)).all():
         raise FormatError(f"{path}: center entries outside {{-1,+1}}")
-    flat = take(flat_size(dims, hidden, code_length), "<f4").astype(np.float64)
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+    flat = reader.take((flat_size(dims, hidden, code_length),), "<f4").astype(np.float64)
+    reader.finish()
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite encoder weights")
-    return HashEncoderParams(flat, dims, int(hidden), int(code_length)), centers
+    return HashEncoderParams(flat, tuple(dims), hidden, code_length), centers

@@ -31,14 +31,13 @@ Variants (ablations and robustness probes):
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluator, fileio, losses, pacer
+from . import evaluator, losses, pacer
 from .data import MultiModalDataset
 from .encoder import (
     HashEncoderParams,
@@ -50,7 +49,7 @@ from .encoder import (
     init_params,
 )
 from .errors import ParameterError, ShapeError, TrainingDivergedError
-from .fileio import save_checkpoint, write_csv
+from .fileio import save_checkpoint, write_csv, write_weight_log
 from .losses import BatchCodes, LossConfig
 from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
@@ -65,10 +64,6 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _GAMMA_OVERRIDE_DEFAULT = 200.0
-
-# the weights.csv header, which eval --weights requires verbatim, and its row format
-WEIGHT_LOG_COLUMNS = ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth")
-_WEIGHT_LOG_ROW = "%d,%d,%.6f,%.6f,%d"
 
 
 @dataclass(frozen=True)
@@ -367,19 +362,8 @@ def write_report_csv(report: TrainReport, path) -> None:
 
 
 def write_weight_log_csv(report: TrainReport, train_ds: MultiModalDataset, path) -> None:
-    """Per-epoch weight dump enabling weight-density and detection analysis.
-
-    One line per (self-paced epoch, training instance) under a header of
-    ``WEIGHT_LOG_COLUMNS``. The row format gives the bytes of
-    ``fileio.write_csv``'s cell rule for these int and float cells.
-    """
+    """Per-epoch weight dump (``fileio.write_weight_log``) for detection analysis."""
     rows = train_ds.source_rows
     if rows is None:
         rows = np.arange(train_ds.n)
-    rows, noisy = rows.tolist(), train_ds.noise_mask.astype(int).tolist()
-    lines = [",".join(WEIGHT_LOG_COLUMNS)]
-    for snap in report.weight_log:
-        cells = zip(itertools.repeat(snap.epoch), rows, snap.losses.tolist(),
-                    snap.weights.tolist(), noisy)
-        lines += map(_WEIGHT_LOG_ROW.__mod__, cells)
-    fileio.atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+    write_weight_log(path, report.weight_log, rows, train_ds.noise_mask)

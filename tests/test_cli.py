@@ -59,11 +59,8 @@ class TestGenData:
         } <= names
 
     def test_noise_applied_to_train_split_only(self, dataset_dir):
-        ds, manifest = read_dataset(dataset_dir)
-        tr, va, te = split(
-            ds, manifest["split"]["train_frac"], manifest["split"]["val_frac"],
-            manifest["split"]["seed"],
-        )
+        ds, split_record = read_dataset(dataset_dir)
+        tr, va, te = split(ds, *split_record)
         n_flipped = int(np.floor(0.5 * tr.n + 0.5))
         assert tr.noise_mask.sum() == n_flipped
         assert not va.noise_mask.any()
@@ -233,6 +230,7 @@ class TestSweep:
             ("--noise-rates", "-0.1"),
             ("--variants", "full,bogus"),
             ("--bits", "8,0"),
+            ("--bits", "8,1"),  # 2 codes for 3 classes
             ("--n", "2"),  # fewer instances than classes
             ("--train-frac", "0.95"),  # with val 0.1: no test split
             ("--gamma", "5"),  # above the loss bound 3 of every non-override variant
@@ -240,7 +238,8 @@ class TestSweep:
             ("--bits", ","),
             ("--variants", ""),
         ],
-        ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits", "n-below-k",
+        ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits",
+             "bits-below-capacity", "n-below-k",
              "no-test-split", "gamma-above-bound", "no-noise-rate", "no-bits", "no-variant"],
     )
     def test_bad_grid_exits_2_before_any_cell(self, tmp_path, flag, value):
@@ -248,6 +247,17 @@ class TestSweep:
         assert main(SWEEP_ARGS + [flag, value, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "cells").exists()
         assert not (tmp_path / "aggregate.csv").exists()
+
+    def test_run_manifest_records_the_resolved_configuration(self, sweep_dir):
+        config = json.loads((sweep_dir / "run_manifest.json").read_text())["config"]
+        assert config["variants"] == ["full", "no_spl"] and config["n"] == 90
+        assert config["synth"] == {"n": 90, "k": 3, "m": 2, "dims": [8, 6], "class_separation": 5.5,
+                                   "intra_noise_std": 0.7, "seed": 5}
+        assert config["split"] == {"train_frac": 0.7, "val_frac": 0.1}
+        train = config["train"]
+        assert [(c["code_length"], c["variant"]) for c in train] == [(8, "full"), (8, "no_spl")]
+        assert all(c["hidden_dim"] == 10 and c["loss"]["alpha"] == 0.1 for c in train)
+        assert all(c["pace"]["gamma_start"] == pytest.approx(1.5) for c in train)  # resolved
 
     def test_singular_variant_flag_selects_the_variant_grid(self, tmp_path, monkeypatch):
         # argparse resolves the prefix --variant to sweep's --variants; the last value wins
@@ -275,10 +285,10 @@ class TestConfigFile:
             ["gen-data", "--config", str(config), "--n", "80", "--out", str(out)]
         )
         assert code == 0
-        ds, manifest = read_dataset(out)
+        ds, _ = read_dataset(out)
         assert ds.n == 80  # flag beat the file
         assert ds.class_count == 4  # file value applied
-        assert manifest["seed"] == 9
+        assert ds.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
@@ -345,6 +355,8 @@ BAD_MANIFESTS = {
     "one modality": lambda m: json.dumps({**m, "modalities": m["modalities"][:1]}),
     "split not an object": lambda m: json.dumps({**m, "split": [0.7, 0.1]}),
     "string split seed": lambda m: json.dumps({**m, "split": {**m["split"], "seed": "7"}}),
+    "split leaves no test rows":
+        lambda m: json.dumps({**m, "split": {**m["split"], "train_frac": 0.95}}),
     "files disagree": lambda m: json.dumps({**m, "labels": m["true_labels"]}),
 }
 
@@ -433,6 +445,13 @@ class TestInputErrors:
         assert main(args + pace + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_bits_below_class_capacity_exit_2(self, dataset_dir, tmp_path):
+        out = tmp_path / "out"
+        # {-1,+1}^1 holds 2 distinct centers, the dataset has 4 classes
+        code = main(TRAIN_ARGS + ["--bits", "1", "--data", str(dataset_dir), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_out_naming_a_file_exit_3(self, dataset_dir, tmp_path):
         existing = tmp_path / "file"
         existing.write_text("")
@@ -469,6 +488,32 @@ class TestInputErrors:
         weights, out = tmp_path / "weights.csv", tmp_path / "out"
         weights.write_text(BAD_WEIGHT_DUMPS["unparsable weight"][0])
         assert eval_with_weights(train_dir, clean, weights, out) == 3
+        assert not (out / "map.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("duplicate row", 3), ("missing row", 5), ("flipped noise flag", 5)],
+    )
+    def test_last_epoch_must_list_the_training_split_once(self, dataset_dir, train_dir, tmp_path,
+                                                          case, expected):
+        text = (train_dir / "weights.csv").read_text()
+        last = text.splitlines()[-1]
+        payload = {
+            "duplicate row": text + last + "\n",
+            "missing row": text[: -len(last) - 1],
+            "flipped noise flag": text[:-2] + ("1" if last.endswith("0") else "0") + "\n",
+        }[case]
+        weights, out = tmp_path / "weights.csv", tmp_path / "out"
+        weights.write_text(payload)
+        assert eval_with_weights(train_dir, dataset_dir, weights, out) == expected
+        assert not (out / "map.csv").exists()
+
+    def test_weight_dump_of_another_noise_draw_exit_5(self, train_dir, tmp_path):
+        # same seed, so the same split rows; another noise rate, so another noise mask
+        other = tmp_path / "other"
+        assert main(GEN_ARGS + ["--noise-rate", "0.2", "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        assert eval_with_weights(train_dir, other, train_dir / "weights.csv", out) == 5
         assert not (out / "map.csv").exists()
 
     def test_header_only_weight_dump_scores_no_detection(self, dataset_dir, train_dir, tmp_path):
@@ -528,7 +573,7 @@ _DUMP_ROWS = st.lists(
     min_size=1, max_size=30,
 )
 # truncate at a position, flip one bit, or append bytes
-_DUMP_MUTATIONS = st.lists(
+_MUTATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
         st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(0, 7)),
@@ -561,7 +606,7 @@ class TestWeightDump:
         ]
         path = tmp_path / "weights.csv"
         path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
-        idx, weights = cli_module._final_weight_dump(path, 1000)
+        idx, weights, _ = fileio.read_weight_log(path)
         ref_idx, ref_weights = final_weight_dump_reference(path)
         assert idx.dtype == ref_idx.dtype and idx.tolist() == ref_idx.tolist()
         assert weights.dtype == ref_weights.dtype
@@ -569,11 +614,46 @@ class TestWeightDump:
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutations=_DUMP_MUTATIONS)
+    @given(mutations=_MUTATIONS)
     def test_mutated_dump_exits_0_3_or_5(self, dataset_dir, train_dir, tmp_path, mutations):
         weights = tmp_path / "weights.csv"
         weights.write_bytes(_mutate((train_dir / "weights.csv").read_bytes(), mutations))
         assert eval_with_weights(train_dir, dataset_dir, weights, tmp_path / "out") in (0, 3, 5)
+
+
+_DATASET_FILES = ("modality_0.fmat", "modality_1.fmat", "labels.lmat", "true_labels.lmat",
+                  "noise_mask.lmat")
+
+
+class TestMutatedBinaryInputs:
+    """Truncated, bit-flipped and extended FMAT, LMAT and checkpoint files through main.
+
+    Every outcome is an exit code the README documents for these commands:
+    never 1 (a failed sweep cell) and never an uncaught exception.
+    """
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(_DATASET_FILES + ("checkpoint.bin",)), mutations=_MUTATIONS)
+    def test_eval_exits_0_2_3_4_or_5(self, dataset_dir, train_dir, tmp_path, name, mutations):
+        data, checkpoint = tmp_path / "data", tmp_path / "checkpoint.bin"
+        shutil.copytree(dataset_dir, data, dirs_exist_ok=True)
+        shutil.copy(train_dir / "checkpoint.bin", checkpoint)
+        target = checkpoint if name == "checkpoint.bin" else data / name
+        target.write_bytes(_mutate(target.read_bytes(), mutations))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3, 4, 5)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(_DATASET_FILES), mutations=_MUTATIONS)
+    def test_train_exits_0_2_3_4_or_5(self, dataset_dir, tmp_path, name, mutations):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data, dirs_exist_ok=True)
+        (data / name).write_bytes(_mutate((data / name).read_bytes(), mutations))
+        code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3, 4, 5)
 
 
 def test_list_parser_is_element_typed():

@@ -124,10 +124,10 @@ class TestLabelFiles:
 class TestDatasetRoundTrip:
     def test_write_then_read(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n=40, k=4, m=2, dims=(6, 5), seed=3))
-        manifest_path = write_dataset(ds, tmp_path, split_spec={"train_frac": 0.7, "val_frac": 0.1, "seed": 3})
-        loaded, manifest = read_dataset(manifest_path)
-        assert manifest["class_count"] == 4
-        assert manifest["split"]["train_frac"] == 0.7
+        manifest_path = write_dataset(ds, tmp_path, split=(0.7, 0.1, 3))
+        loaded, split_record = read_dataset(manifest_path)
+        assert loaded.class_count == 4
+        assert split_record == (0.7, 0.1, 3)
         for a, b in zip(loaded.modalities, ds.modalities):
             assert a.tobytes() == b.tobytes()
         assert np.array_equal(loaded.labels, ds.labels)
@@ -136,8 +136,9 @@ class TestDatasetRoundTrip:
     def test_read_accepts_directory(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n=20, k=2, m=2, dims=(4, 4), seed=1))
         write_dataset(ds, tmp_path)
-        loaded, _ = read_dataset(tmp_path)
+        loaded, split_record = read_dataset(tmp_path)
         assert loaded.n == 20
+        assert split_record == (0.7, 0.1, 1)  # no split recorded: the defaults and the seed
 
 
 class TestCheckpoint:

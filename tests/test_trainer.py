@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import NestedOptimizer
-from sphash.cli import _final_weight_dump
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
-from sphash.fileio import load_checkpoint, write_csv
+from sphash.fileio import WEIGHT_LOG_COLUMNS, load_checkpoint, read_weight_log, write_csv
 from sphash.losses import LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights
 from sphash.seeding import stable_seed
@@ -16,7 +15,6 @@ from sphash.trainer import (
     OPTIMIZERS,
     SELFPACED,
     WARMUP,
-    WEIGHT_LOG_COLUMNS,
     TrainConfig,
     TrainReport,
     WeightSnapshot,
@@ -327,6 +325,7 @@ class TestReportFiles:
         ])
         assert path.read_bytes() == reference.read_bytes()
 
-        idx, weights = _final_weight_dump(path, tr.source_rows.max() + 1)
+        idx, weights, noisy = read_weight_log(path)
         assert idx.tolist() == tr.source_rows.tolist()
         assert weights.tolist() == [float(f"{w:.6f}") for w in log[-1].weights.tolist()]
+        assert noisy.tolist() == tr.noise_mask.astype(int).tolist()
