@@ -42,14 +42,14 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fileio import (
-    DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, load_checkpoint, read_dataset, read_weight_log,
-    write_csv, write_dataset, write_json,
+    load_checkpoint, read_dataset, read_weight_log, write_csv, write_dataset, write_json,
 )
 from .losses import LossConfig
 from .pacer import PaceSchedule
 from .seeding import stable_seed
 
 _DEFAULT_VARIANT = trainer.TrainConfig.variant
+_MAX_PR_POINTS = 10_001  # a recall step of 1e-4
 
 
 def _list_of(kind):
@@ -72,10 +72,10 @@ def _gamma_ramp(text: str) -> tuple[float, float, int]:
 
 
 def _pr_points(text: str) -> int:
-    """A PR curve's recall level count: an int of at least 2."""
+    """A PR curve's recall level count: an int from 2 to _MAX_PR_POINTS."""
     points = int(text)
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 recall levels, got {points}")
+    if not 2 <= points <= _MAX_PR_POINTS:
+        raise argparse.ArgumentTypeError(f"need 2 to {_MAX_PR_POINTS} recall levels, got {points}")
     return points
 
 
@@ -104,14 +104,10 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
         "--intra-noise-std", type=float, default=0.7,
         help="std of the per-instance latent perturbation (default 0.7)",
     )
-    p.add_argument(
-        "--train-frac", type=float, default=DEFAULT_TRAIN_FRAC,
-        help=f"training fraction of the split (default {DEFAULT_TRAIN_FRAC})",
-    )
-    p.add_argument(
-        "--val-frac", type=float, default=DEFAULT_VAL_FRAC,
-        help=f"validation fraction of the split (default {DEFAULT_VAL_FRAC})",
-    )
+    p.add_argument("--train-frac", type=float, default=0.7,
+                   help="training fraction of the split (default 0.7)")
+    p.add_argument("--val-frac", type=float, default=0.1,
+                   help="validation fraction of the split (default 0.1)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -305,7 +301,7 @@ def cmd_eval(args) -> int:
         )
 
     train_ds, _, test_ds = split(dataset, *split_record)
-    dump = read_weight_log(args.weights) if args.weights else None
+    dump = None if args.weights is None else read_weight_log(args.weights)
     if dump is not None:  # its last epoch lists this dataset's training split, each row once
         idx, weights, noisy = dump
         listed, rows = idx[idx.argsort()], train_ds.source_rows  # split sorts its rows
@@ -466,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="weights.csv from train, enables the noise-detection report")
     p.add_argument("--pr-points", type=_pr_points, default=21,
-                   help="recall levels on the PR curves, at least 2 (default 21)")
+                   help=f"recall levels on the PR curves, 2 to {_MAX_PR_POINTS} (default 21)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train+eval over a noise x bits x variant grid")

@@ -7,6 +7,7 @@ observed label was corrupted. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,10 +41,9 @@ class SynthSpec:
             raise ParameterError(f"dims has {len(self.dims)} entries for m={self.m} modalities")
         if any(d < 2 for d in self.dims):
             raise ParameterError(f"every modality dim must be >= 2, got dims={self.dims}")
-        if not self.class_separation > 0:
-            raise ParameterError(f"class_separation={self.class_separation} must be positive")
-        if not self.intra_noise_std > 0:
-            raise ParameterError(f"intra_noise_std={self.intra_noise_std} must be positive")
+        for name in ("class_separation", "intra_noise_std"):  # written so that NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name}={getattr(self, name)} must be positive and finite")
 
 
 @dataclass

@@ -4,10 +4,10 @@ Feature file ("FMAT"): 24-byte header — 4-byte magic, u16 version, u16
 reserved zero, u64 row count, u64 column count, all little-endian — followed
 by rows*cols float32 values in row-major order. Label file ("LMAT") shares
 the header layout with its own magic and a payload of one byte per entry in
-{0,1}. A dataset is a directory of these files tied together by a JSON
-manifest, which also records the split (train_frac, val_frac, seed); a model
-checkpoint is a single binary with its own magic. One bounded reader
-(``_Reader``) parses every binary file.
+{0,1}. A dataset is a directory of these files (the noise mask an N x 1 label
+file) tied together by a JSON manifest that must hold every key, the split
+(train_frac, val_frac, seed) included; a model checkpoint is a single binary
+with its own magic. One bounded reader (``_Reader``) parses every binary file.
 
 Text artifacts follow one rule each. CSV (``write_csv``): a header line of
 column names, one line per row and a trailing newline; a cell is empty for
@@ -15,7 +15,7 @@ None, six decimals for a float and ``str`` of anything else. JSON
 (``write_json``): two-space indent, sorted keys and a trailing newline, with
 dataclasses, numpy scalars and paths converted. The weight dump
 ``weights.csv`` is a CSV of ``WEIGHT_LOG_COLUMNS``, one row per self-paced
-epoch and training instance.
+epoch and training instance; every run has a self-paced epoch, so it has rows.
 
 Every artifact, binary or text, is written to a temp file beside its target
 and renamed over it, so readers never see a partial file.
@@ -51,10 +51,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHHQQ")
 _MAX_ELEMENTS = 1 << 40  # anything larger is a corrupt header, not a real matrix
-
-# the split record's fallback when a manifest has none; gen-data's and sweep's defaults
-DEFAULT_TRAIN_FRAC = 0.7
-DEFAULT_VAL_FRAC = 0.1
 
 # the weights.csv header, which read_weight_log requires verbatim, and its row format
 WEIGHT_LOG_COLUMNS = ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth")
@@ -99,23 +95,23 @@ def write_weight_log(path, snapshots, instance_index, noisy) -> None:
 
 
 def read_weight_log(path):
-    """The last epoch's (instance_index, weight, is_noisy_ground_truth), None if no rows.
+    """The last epoch's (instance_index, weight, is_noisy_ground_truth).
 
-    FormatError for a header other than ``WEIGHT_LOG_COLUMNS``, a row that does
-    not parse as those columns or a weight outside [0, 1].
+    FormatError for a header other than ``WEIGHT_LOG_COLUMNS``, no rows, a row
+    that does not parse as those columns or a weight outside [0, 1].
     """
     try:
         with open(path) as fh:
             if fh.readline().rstrip("\n") != ",".join(WEIGHT_LOG_COLUMNS):
                 raise FormatError(f"{path}: header is not {WEIGHT_LOG_COLUMNS}")
-            with warnings.catch_warnings():  # a header-only dump is valid and has no rows
+            with warnings.catch_warnings():  # an empty body warns; the size check rejects it
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                                   dtype=_WEIGHT_LOG_DTYPE)
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise FormatError(f"{path}: not a weight dump ({exc})") from exc
     if body.size == 0:
-        return None
+        raise FormatError(f"{path}: weight dump has no rows")
     last = body[body["epoch"] == body["epoch"].max()]
     weights = last["weight"]
     if not np.all((weights >= 0.0) & (weights <= 1.0)):
@@ -222,11 +218,7 @@ def load_labels(path) -> np.ndarray:
 MANIFEST_NAME = "manifest.json"
 
 
-def write_dataset(
-    dataset: MultiModalDataset,
-    out_dir,
-    split: tuple[float, float, int] | None = None,
-) -> Path:
+def write_dataset(dataset: MultiModalDataset, out_dir, split: tuple[float, float, int]) -> Path:
     """Write modality/label/mask files plus the JSON manifest; returns its path.
 
     ``split`` is the (train_frac, val_frac, seed) record read_dataset returns.
@@ -240,6 +232,7 @@ def write_dataset(
         "mask": "noise_mask.lmat",
         "class_count": dataset.class_count,
         "seed": dataset.seed,
+        "split": dict(zip(_SPLIT_TYPES, split)),
     }
     for i, x in enumerate(dataset.modalities):
         name = f"modality_{i}.fmat"
@@ -248,8 +241,6 @@ def write_dataset(
     save_labels(dataset.labels, out_dir / manifest["labels"])
     save_labels(dataset.true_labels, out_dir / manifest["true_labels"])
     save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / manifest["mask"])
-    if split is not None:
-        manifest["split"] = dict(zip(_SPLIT_TYPES, split))
     path = out_dir / MANIFEST_NAME
     write_json(path, manifest)
     return path
@@ -258,8 +249,8 @@ def write_dataset(
 def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, int]]:
     """Load a dataset directory; returns (dataset, (train_frac, val_frac, seed)).
 
-    A missing split key falls back to its default, the seed to the dataset's;
-    a split that leaves a part empty is a FormatError.
+    FormatError for a manifest or split record without one of its keys, a
+    noise mask that is not N x 1, and a split that leaves a part empty.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -270,50 +261,50 @@ def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, 
         raise FormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
     _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
+    mask = load_labels(base / manifest["mask"])
+    if mask.shape[1] != 1:
+        raise FormatError(f"{base / manifest['mask']}: noise mask has {mask.shape[1]} columns")
     dataset = MultiModalDataset(
         modalities=[load_features(base / rel) for rel in manifest["modalities"]],
         labels=load_labels(base / manifest["labels"]),
         true_labels=load_labels(base / manifest["true_labels"]),
-        noise_mask=load_labels(base / manifest["mask"])[:, 0].astype(bool),
+        noise_mask=mask[:, 0].astype(bool),
         class_count=manifest["class_count"],
         seed=manifest["seed"],
     )
-    record = manifest.get("split", {})
-    train_frac = float(record.get("train_frac", DEFAULT_TRAIN_FRAC))
-    val_frac = float(record.get("val_frac", DEFAULT_VAL_FRAC))
+    record = manifest["split"]
+    train_frac, val_frac = float(record["train_frac"]), float(record["val_frac"])
     try:
         dataset.validate()
         split_sizes(dataset.n, train_frac, val_frac)
     except ParameterError as exc:
         raise FormatError(f"{manifest_path}: inconsistent dataset: {exc}") from exc
-    return dataset, (train_frac, val_frac, int(record.get("seed", dataset.seed)))
+    return dataset, (train_frac, val_frac, record["seed"])
 
 
 _MANIFEST_TYPES = {
     "modalities": list, "labels": str, "true_labels": str, "mask": str,
-    "class_count": int, "seed": int,
+    "class_count": int, "seed": int, "split": dict,
 }
 # the split record's keys, in the order of read_dataset's (train_frac, val_frac, seed)
 _SPLIT_TYPES = {"train_frac": (int, float), "val_frac": (int, float), "seed": int}
 
 
 def _check_manifest(manifest, path) -> None:
-    """Raise FormatError unless each manifest key is present with its JSON type."""
+    """Raise FormatError unless each manifest and split key is present with its JSON type."""
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
-    split_spec = manifest.get("split", {})
-    if not isinstance(split_spec, dict):
-        raise FormatError(f"{path}: key 'split' is not a JSON object")
-    checks = ((manifest, _MANIFEST_TYPES, True), (split_spec, _SPLIT_TYPES, False))
-    for obj, types, required in checks:
+    for name, types in (("manifest", _MANIFEST_TYPES), ("split", _SPLIT_TYPES)):
+        record = manifest if name == "manifest" else manifest["split"]  # a dict by now
         for key, kind in types.items():
-            if key not in obj:
-                if required:
-                    raise FormatError(f"{path}: missing key {key!r}")
-            elif isinstance(obj[key], bool) or not isinstance(obj[key], kind):
-                raise FormatError(f"{path}: key {key!r} has type {type(obj[key]).__name__}")
-    if not all(isinstance(name, str) for name in manifest["modalities"]):
-        raise FormatError(f"{path}: 'modalities' must list file names")
+            if key not in record:
+                raise FormatError(f"{path}: {name} has no key {key!r}")
+            if isinstance(record[key], bool) or not isinstance(record[key], kind):
+                raise FormatError(f"{path}: {name} key {key!r} has type "
+                                  f"{type(record[key]).__name__}")
+    names = [*manifest["modalities"], manifest["labels"], manifest["true_labels"], manifest["mask"]]
+    if not all(isinstance(name, str) and "\0" not in name for name in names):
+        raise FormatError(f"{path}: every file name must be a string without NUL")
 
 
 def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> None:

@@ -94,16 +94,12 @@ class BatchCodes:
 def gce_terms(probs: np.ndarray, r: float) -> np.ndarray:
     """Robust transform g(u); exact 1-u at r=1 and finite at u=0."""
     probs = np.asarray(probs, dtype=np.float64)
-    if r == 1.0:
-        return 1.0 - probs
     return (1.0 - r) * (1.0 - np.power(probs, r)) / r + r * (1.0 - probs)
 
 
 def gce_grad(probs: np.ndarray, r: float) -> np.ndarray:
     """dg/du with the floor that keeps u^(r-1) finite near zero."""
     probs = np.maximum(np.asarray(probs, dtype=np.float64), _GRAD_FLOOR)
-    if r == 1.0:
-        return np.full_like(probs, -1.0)
     return -(1.0 - r) * np.power(probs, r - 1.0) - r
 
 

@@ -141,7 +141,6 @@ class WeightSnapshot:
     """Weights in effect during one self-paced epoch, with their losses."""
 
     epoch: int
-    gamma: float
     losses: np.ndarray
     weights: np.ndarray
 
@@ -293,13 +292,10 @@ def train(
             elif config.variant == "binarize_weights":
                 weights_all = pacer.binarize_weights(weights_all)
             zero_count = int((weights_all.values == 0).sum())
-            weight_log.append(
-                WeightSnapshot(epoch, gamma, instance_losses, weights_all.values.copy())
-            )
+            weight_log.append(WeightSnapshot(epoch, instance_losses, weights_all.values.copy()))
 
         perm = spawn_rng(config.seed, "shuffle", epoch).permutation(n_train)
         sums = {"total": 0.0, "contrastive": 0.0, "center": 0.0}
-        saw_contrastive = False
         for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
             rows = perm[start : start + config.batch_size]
             w_slice = None
@@ -320,7 +316,6 @@ def train(
             sums["center"] += parts["center"] * len(rows)
             if parts["contrastive"] is not None:
                 sums["contrastive"] += parts["contrastive"] * len(rows)
-                saw_contrastive = True
 
         val_i2t = val_t2i = None
         if epoch % config.eval_every == 0 or epoch == config.max_epochs - 1:
@@ -336,7 +331,7 @@ def train(
                 epoch=epoch,
                 phase=WARMUP if weights_all is None else SELFPACED,
                 loss_total=sums["total"] / n_train,
-                loss_contrastive=sums["contrastive"] / n_train if saw_contrastive else None,
+                loss_contrastive=sums["contrastive"] / n_train if config.loss.alpha > 0 else None,
                 loss_center=sums["center"] / n_train,
                 gamma=gamma,
                 zero_weight_count=zero_count,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import sphash.cli as cli_module
 import sphash.fileio as fileio
-from sphash.cli import _list_of, main
+from sphash.cli import _list_of, build_parser, main
 from sphash.errors import TrainingDivergedError
 from sphash.fileio import read_dataset
 from sphash.data import split
@@ -234,13 +234,16 @@ class TestSweep:
             ("--n", "2"),  # fewer instances than classes
             ("--train-frac", "0.95"),  # with val 0.1: no test split
             ("--gamma", "5"),  # above the loss bound 3 of every non-override variant
+            ("--class-separation", "inf"),
+            ("--intra-noise-std", "inf"),
             ("--noise-rates", ""),
             ("--bits", ","),
             ("--variants", ""),
         ],
         ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits",
              "bits-below-capacity", "n-below-k",
-             "no-test-split", "gamma-above-bound", "no-noise-rate", "no-bits", "no-variant"],
+             "no-test-split", "gamma-above-bound", "infinite-separation", "infinite-noise-std",
+             "no-noise-rate", "no-bits", "no-variant"],
     )
     def test_bad_grid_exits_2_before_any_cell(self, tmp_path, flag, value):
         # a repeated flag's last value wins
@@ -352,8 +355,12 @@ BAD_MANIFESTS = {
     "string class count": lambda m: json.dumps({**m, "class_count": "4"}),
     "bool seed": lambda m: json.dumps({**m, "seed": True}),
     "modality not a name": lambda m: json.dumps({**m, "modalities": [0, 1]}),
+    "NUL in a file name": lambda m: json.dumps({**m, "labels": "labels\0.lmat"}),
     "one modality": lambda m: json.dumps({**m, "modalities": m["modalities"][:1]}),
+    "no split": lambda m: json.dumps({k: v for k, v in m.items() if k != "split"}),
     "split not an object": lambda m: json.dumps({**m, "split": [0.7, 0.1]}),
+    "split without val_frac": lambda m: json.dumps(
+        {**m, "split": {k: v for k, v in m["split"].items() if k != "val_frac"}}),
     "string split seed": lambda m: json.dumps({**m, "split": {**m["split"], "seed": "7"}}),
     "split leaves no test rows":
         lambda m: json.dumps({**m, "split": {**m["split"], "train_frac": 0.95}}),
@@ -375,6 +382,7 @@ BAD_WEIGHT_DUMPS = {  # payload, expected exit code
     "reordered header": ("instance_index,epoch,loss,weight,is_noisy_ground_truth\n0,2,0.5,0.2,0\n", 3),
     "extra column": (WEIGHT_HEADER.replace("\n", ",extra\n") + "2,0,0.5,0.2,0,1\n", 3),
     "bad cell in an earlier epoch": (WEIGHT_HEADER + "1,0,0.5,heavy,0\n2,0,0.5,0.2,0\n", 3),
+    "header-only": (WEIGHT_HEADER, 3),
 }
 
 
@@ -417,10 +425,21 @@ class TestInputErrors:
         code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_noise_mask_with_a_second_column_exit_3(self, dataset_dir, train_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        mask = fileio.load_labels(data / "noise_mask.lmat")  # N x 1
+        fileio.save_labels(np.hstack([mask, np.zeros_like(mask)]), data / "noise_mask.lmat")
+        assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "eval"
+        assert eval_with_weights(train_dir, data, train_dir / "weights.csv", out) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag",
         [("train", "--alpha"), ("train", "--lr"), ("train", "--tau"),
-         ("gen-data", "--train-frac"), ("gen-data", "--val-frac")],
+         ("gen-data", "--train-frac"), ("gen-data", "--val-frac"),
+         ("gen-data", "--class-separation"), ("gen-data", "--intra-noise-std")],
     )
     def test_nan_flag_exit_2(self, dataset_dir, tmp_path, command, flag):
         args = GEN_ARGS if command == "gen-data" else TRAIN_ARGS + ["--data", str(dataset_dir)]
@@ -470,7 +489,9 @@ class TestInputErrors:
         )
         assert code == expected
 
-    @pytest.mark.parametrize("case", ["missing file", "unparsable weight", "index past the dataset"])
+    @pytest.mark.parametrize(
+        "case", ["missing file", "header-only", "unparsable weight", "index past the dataset"],
+    )
     def test_bad_weight_dump_fails_before_any_retrieval_artifact(self, dataset_dir, train_dir,
                                                                  tmp_path, case):
         weights, out = tmp_path / "weights.csv", tmp_path / "out"
@@ -480,6 +501,11 @@ class TestInputErrors:
             weights.write_text(payload)
         code = eval_with_weights(train_dir, dataset_dir, weights, out)
         assert code == expected
+        assert not (out / "map.csv").exists()
+
+    def test_empty_weights_path_exit_3(self, dataset_dir, train_dir, tmp_path):
+        out = tmp_path / "out"
+        assert eval_with_weights(train_dir, dataset_dir, "", out) == 3
         assert not (out / "map.csv").exists()
 
     def test_bad_weight_dump_exit_3_on_a_dataset_without_noise(self, train_dir, tmp_path):
@@ -516,17 +542,9 @@ class TestInputErrors:
         assert eval_with_weights(train_dir, other, train_dir / "weights.csv", out) == 5
         assert not (out / "map.csv").exists()
 
-    def test_header_only_weight_dump_scores_no_detection(self, dataset_dir, train_dir, tmp_path):
-        weights, out = tmp_path / "weights.csv", tmp_path / "out"
-        weights.write_text(WEIGHT_HEADER)
-        code = eval_with_weights(train_dir, dataset_dir, weights, out)
-        assert code == 0
-        assert (out / "map.csv").exists()
-        assert not (out / "noise_detection.json").exists()
-
-    @pytest.mark.parametrize("points", ["1", "0", "two"])
-    def test_pr_points_below_two_exit_2_before_any_work(self, dataset_dir, train_dir, tmp_path,
-                                                        capsys, points):
+    @pytest.mark.parametrize("points", ["1", "0", "two", "10002", "100000000000000000000"])
+    def test_pr_points_outside_2_to_10001_exit_2_before_any_work(self, dataset_dir, train_dir,
+                                                                 tmp_path, capsys, points):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:  # argparse rejects it, as any bad flag value
             main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
@@ -654,6 +672,105 @@ class TestMutatedBinaryInputs:
         (data / name).write_bytes(_mutate((data / name).read_bytes(), mutations))
         code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")])
         assert code in (0, 2, 3, 4, 5)
+
+
+_DOCUMENTED_EXITS = (0, 2, 3, 4, 5)  # never 1: that is a failed sweep cell
+_MANIFEST_KEYS = ("modalities", "labels", "true_labels", "mask", "class_count", "seed", "split",
+                  "train_frac", "val_frac")
+# any JSON value; the dataset's own file names among them, so a retyped name can still load
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(_DATASET_FILES + ("manifest.json", ".")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# drop a key, or set one (retyped if it exists, added if not), at the top level or in "split"
+_MANIFEST_EDITS = st.lists(
+    st.tuples(st.sampled_from(["drop", "set"]), st.booleans(),
+              st.sampled_from(_MANIFEST_KEYS) | st.text(max_size=6), _JSON_VALUES),
+    min_size=1, max_size=3,
+)
+# malformed flag values; finite extremes such as lr=1e308 are left out, since they end in
+# exit 4 only after numpy's overflow warnings, which this suite turns into errors
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["nan", "inf", "-inf", "a\0b"]),
+    st.integers(max_value=0), st.floats(max_value=0.0, allow_nan=False),
+    st.text(st.characters(categories=("L",)), max_size=6),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# every size flag is fixed on the command line, which wins over the config file
+_CONFIG_RUNS = {
+    "gen-data": ["--n", "60", "--k", "3", "--dims", "6,5"],
+    "train": ["--bits", "8", "--hidden", "8", "--batch-size", "16", "--epochs", "6"],
+    "eval": [],
+    "sweep": ["--noise-rates", "0.5", "--bits", "8", "--variants", "full", "--n", "60",
+              "--k", "3", "--dims", "6,5", "--hidden", "8", "--batch-size", "16", "--epochs", "6"],
+}
+
+
+def _edit_manifest(manifest: dict, edits) -> dict:
+    for kind, in_split, key, value in edits:
+        if in_split and not isinstance(manifest.get("split"), dict):
+            continue  # an earlier edit dropped or retyped the split record
+        record = manifest["split"] if in_split else manifest
+        if kind == "drop":
+            record.pop(key, None)
+        else:
+            record[key] = value
+    return manifest
+
+
+def _config_keys(command: str) -> list[str]:
+    """The command's own flags as config keys."""
+    (commands,) = build_parser()._subparsers._group_actions
+    actions = commands.choices[command]._actions
+    return sorted(flag[2:].replace("-", "_") for action in actions
+                  for flag in action.option_strings if flag.startswith("--"))
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the command line itself
+        return exc.code
+
+
+class TestFuzzedTextInputs:
+    """Mutated dataset manifests and malformed --config files through main.
+
+    Every outcome is an exit code the README documents for these commands.
+    """
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=_MANIFEST_EDITS)
+    def test_mutated_manifest_exits_0_2_3_4_or_5(self, dataset_dir, train_dir, tmp_path, edits):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data, dirs_exist_ok=True)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps(_edit_manifest(manifest, edits)))
+        code = main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "train")])
+        assert code in _DOCUMENTED_EXITS
+        code = eval_with_weights(train_dir, data, train_dir / "weights.csv", tmp_path / "eval")
+        assert code in _DOCUMENTED_EXITS
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG_RUNS))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_config_exits_0_2_3_4_or_5(self, dataset_dir, train_dir, tmp_path, command,
+                                                 data):
+        keys = st.sampled_from(_config_keys(command)) | st.text(max_size=8)  # unknown ones too
+        config = data.draw(st.dictionaries(keys, _BAD_VALUES | st.lists(_BAD_VALUES, max_size=3),
+                                           min_size=1, max_size=4))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        paths = {"train": ["--data", str(dataset_dir)],
+                 "eval": ["--checkpoint", str(train_dir / "checkpoint.bin"),
+                          "--data", str(dataset_dir)]}
+        argv = [command, "--config", str(tmp_path / "config.json"), *paths.get(command, []),
+                *_CONFIG_RUNS[command], "--out", str(tmp_path / "out")]
+        assert _exit_code(argv) in _DOCUMENTED_EXITS
 
 
 def test_list_parser_is_element_typed():

@@ -135,10 +135,10 @@ class TestDatasetRoundTrip:
 
     def test_read_accepts_directory(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n=20, k=2, m=2, dims=(4, 4), seed=1))
-        write_dataset(ds, tmp_path)
+        write_dataset(ds, tmp_path, split=(0.6, 0.2, 4))
         loaded, split_record = read_dataset(tmp_path)
         assert loaded.n == 20
-        assert split_record == (0.7, 0.1, 1)  # no split recorded: the defaults and the seed
+        assert split_record == (0.6, 0.2, 4)
 
 
 class TestCheckpoint:

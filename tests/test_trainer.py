@@ -310,7 +310,7 @@ class TestReportFiles:
         edges = [0.0, 1.0, 2.5e-7, 0.1234565, 0.9999995, 5e-7, 1.5e-6, 0.5]
         losses = [0.0, 999.9999995, 1e3, 998.1234565, 2.5e-7, 0.1234565, 1.0, 3.0]
         log = [
-            WeightSnapshot(epoch, 1.0, np.resize(np.roll(losses, epoch), tr.n),
+            WeightSnapshot(epoch, np.resize(np.roll(losses, epoch), tr.n),
                            np.resize(np.roll(edges, epoch), tr.n))
             for epoch in (2, 3, 4)
         ]
