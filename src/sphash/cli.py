@@ -503,16 +503,18 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    """argv parsed once, or twice with its --config file's flags put first."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    at = argv.index(args.command) + 1
-    try:
-        return parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    """argv parsed once, with its --config file's flags put before the command's own."""
+    finder = argparse.ArgumentParser(add_help=False)
+    finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
+    config = finder.parse_known_args(argv)[0].config
+    if not config:
+        return parser.parse_args(argv)
+    try:  # argv[0] is the command: the top-level options (--help, --version) only exit
+        return parser.parse_args(argv[:1] + _config_flags(config) + argv[1:])
     except SystemExit as exc:  # argparse has printed which flag failed
-        raise ParameterError(f"config file {args.config} does not parse as "
-                             f"{args.command} flags") from exc
+        if not exc.code:  # --help
+            raise
+        raise ParameterError(f"{argv[0]} flags with config file {config} do not parse") from exc
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,11 @@ shared-class count is a float32 matrix product, exact for any class count
 below 2**24. MAP is computed over the full gallery ranking; queries with no
 relevant item score 0 and are counted in the mean. Per-query results combine
 in fixed index order, keeping MAP bit-identical across runs. Each task ranks
-its gallery once; MAP and the PR curve both read that ranking.
+its gallery once; MAP and the PR curve both read that ranking, and both read
+only its relevant ranks (``kernels.ranked_precision``). A PR curve needs no
+more: recall first reaches a level at a relevant rank, and precision after a
+rank peaks at a relevant one, so the curve is the one a scan of every rank
+gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError, ShapeError
-
-_RANK_CHUNK = 64  # query rows ranked at a time: bounds the (rows, G) intp order array
 
 
 @dataclass
@@ -62,10 +64,11 @@ class RetrievalTask:
         relevance = self.relevance()
         distances = pairwise_hamming(self.query_codes, self.gallery_codes)
         ranked = np.empty_like(relevance)
-        for start in range(0, len(ranked), _RANK_CHUNK):
-            rows = slice(start, start + _RANK_CHUNK)
+        for start in range(0, len(ranked), kernels.QUERY_CHUNK):
+            rows = slice(start, start + kernels.QUERY_CHUNK)
             order = np.argsort(distances[rows], axis=1, kind="stable")  # radix sort on narrow keys
-            ranked[rows] = np.take_along_axis(relevance[rows], order, axis=1)
+            order += np.arange(0, order.size, order.shape[1])[:, None]  # flat index into the chunk
+            ranked[rows] = relevance[rows].ravel().take(order)
         ranked.flags.writeable = False  # shared by every metric of this task
         return ranked
 
@@ -100,10 +103,7 @@ def cross_modal_tasks(
 def mean_average_precision(task: RetrievalTask) -> float:
     """MAP over the full gallery ranking."""
     scores = kernels.ap_scores(task.ranked_relevance)
-    total = 0.0
-    for score in scores:  # fixed index order: bit-stable mean
-        total += float(score)
-    return total / len(scores)
+    return float(np.cumsum(scores)[-1]) / len(scores)  # adds in fixed index order: bit-stable
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,18 @@ def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
         raise ParameterError(f"num_points={num_points} must be >= 2")
     ranked = task.ranked_relevance
     levels = np.linspace(0.0, 1.0, num_points)
-    ranks = np.arange(1, ranked.shape[1] + 1)
 
     precision_sum = np.zeros(num_points)
-    for rel in ranked:
-        total = rel.sum()
-        if total == 0:
-            continue
-        cum = np.cumsum(rel)
-        recall = cum / total
-        precision = cum / ranks
-        best_from = np.maximum.accumulate(precision[::-1])[::-1]
-        at = np.searchsorted(recall, levels, side="left")
-        precision_sum += best_from[np.minimum(at, len(recall) - 1)]
+    for start in range(0, len(ranked), kernels.QUERY_CHUNK):
+        counts, precision = kernels.ranked_precision(ranked[start:start + kernels.QUERY_CHUNK])
+        # the best precision from the j-th relevant rank on, attained at a relevant rank
+        best_from = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+        for best, total in zip(best_from, counts):
+            if total == 0:
+                continue
+            # recall first reaches each level at the relevant rank found here
+            at = np.searchsorted(np.arange(1, total + 1) / total, levels, side="left")
+            precision_sum += best[at]
     mean_precision = precision_sum / ranked.shape[0]
     return [CurvePoint(float(x), float(y)) for x, y in zip(levels, mean_precision)]
 

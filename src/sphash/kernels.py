@@ -1,19 +1,23 @@
-"""Hot retrieval kernels: packed Hamming distances and batched average precision.
+"""Hot retrieval kernels: packed Hamming distances and average precision.
 
 There is one implementation of each kernel, in numpy. Codes are packed into
 uint64 words and compared with ``np.bitwise_count`` (numpy >= 2.0), one word
 at a time. Distances come back as the narrowest unsigned integer that holds
 the code length (uint8 up to 255 bits, uint16 beyond), so a stable argsort of
-them is numpy's O(n) radix sort. Average precision is accumulated with
-cumulative sums that add strictly left to right, so scores are bit-identical
-to a sequential per-query loop.
+them is numpy's O(n) radix sort.
+
+Average precision and the PR curve read only the relevant ranks of a ranking:
+the precision j / rank at the j-th relevant rank, one query chunk at a time.
+An irrelevant rank adds a term of 0.0 to AP, and adding 0.0 is exact, so a
+cumulative sum over the relevant ranks alone, which adds strictly left to
+right, gives the bits of a sequential per-query loop over the whole ranking.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_QUERY_CHUNK = 64  # query rows per scratch buffer of 8-byte cells: 3.6 MB at G = 7000
+QUERY_CHUNK = 64  # query rows per (rows, G) scratch buffer of 8-byte cells: 3.6 MB at G = 7000
 
 
 def pack_signs(codes: np.ndarray) -> np.ndarray:
@@ -43,15 +47,31 @@ def pairwise_hamming_packed(query_words: np.ndarray, gallery_words: np.ndarray) 
     n_query = query_words.shape[0]
     out = np.zeros((n_query, gallery_words.shape[0]), dtype=np.min_scalar_type(64 * n_words))
     gallery_columns = np.ascontiguousarray(gallery_words.T)
-    xor = np.empty((min(_QUERY_CHUNK, n_query), gallery_words.shape[0]), dtype=np.uint64)
-    for start in range(0, n_query, _QUERY_CHUNK):
-        rows = slice(start, start + _QUERY_CHUNK)
+    xor = np.empty((min(QUERY_CHUNK, n_query), gallery_words.shape[0]), dtype=np.uint64)
+    for start in range(0, n_query, QUERY_CHUNK):
+        rows = slice(start, start + QUERY_CHUNK)
         block = out[rows]
         buffer = xor[:len(block)]
         for word in range(n_words):
             np.bitwise_xor(query_words[rows, word, None], gallery_columns[word], out=buffer)
             block += np.bitwise_count(buffer)
     return out
+
+
+def ranked_precision(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of 0/1 relevance in rank order: the relevant count, and the precision
+    j / rank at the j-th relevant rank (1-based), zero-padded to the largest count.
+
+    The padded matrix has at least one column, so an all-irrelevant block still
+    gives a (rows, 1) matrix of zeros.
+    """
+    n_rows, n_gallery = block.shape
+    row, rank = np.divmod(np.flatnonzero(block), n_gallery)  # hits in row-major order
+    counts = np.bincount(row, minlength=n_rows)
+    width = max(counts.max(initial=0), 1)
+    ranks = np.full((n_rows, width), np.inf)  # j / inf is the 0.0 of the padding
+    ranks[np.arange(width) < counts[:, None]] = rank + 1
+    return counts, np.arange(1, width + 1) / ranks
 
 
 def ap_scores(ranked_relevance: np.ndarray) -> np.ndarray:
@@ -61,20 +81,10 @@ def ap_scores(ranked_relevance: np.ndarray) -> np.ndarray:
     and 0.0 for a query with no relevant items.
     """
     rel = np.asarray(ranked_relevance)
-    n_query, n_gallery = rel.shape
-    ranks = np.arange(1, n_gallery + 1, dtype=np.float64)
-    totals = np.empty(n_query)
-    n_relevant = np.empty(n_query)
-    terms = np.empty((min(_QUERY_CHUNK, n_query), n_gallery))
-    for start in range(0, n_query, _QUERY_CHUNK):
-        rows = slice(start, start + _QUERY_CHUNK)
-        block = rel[rows]
-        buffer = terms[:len(block)]
-        np.cumsum(block, axis=1, out=buffer)  # relevant-in-top-k, exact in float64
-        n_relevant[rows] = buffer[:, -1]
-        buffer /= ranks
-        buffer *= block  # a term is 0.0 at irrelevant ranks, and adding 0.0 is exact
+    scores = np.zeros(len(rel))
+    for start in range(0, len(rel), QUERY_CHUNK):
+        counts, precision = ranked_precision(rel[start:start + QUERY_CHUNK])
         # cumsum adds strictly left to right: the order of a sequential per-query loop
-        np.cumsum(buffer, axis=1, out=buffer)
-        totals[rows] = buffer[:, -1]
-    return np.where(n_relevant > 0, totals / np.maximum(n_relevant, 1), 0.0)
+        totals = np.cumsum(precision, axis=1)[:, -1]
+        np.divide(totals, counts, out=scores[start:start + len(counts)], where=counts > 0)
+    return scores

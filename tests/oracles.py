@@ -46,6 +46,30 @@ def ranked_relevance_reference(query_codes, query_labels, gallery_codes, gallery
     return np.take_along_axis(shared >= 1, order, axis=1)
 
 
+def naive_pr_curve(ranked_relevance, num_points: int):
+    """(recall, precision) at num_points interpolated recall levels, scanning every rank.
+
+    Per query, precision at level t is the best precision over the ranks from
+    the first one whose recall reaches t; queries with no relevant item add
+    zero precision and are counted in the mean.
+    """
+    ranked = np.asarray(ranked_relevance)
+    levels = np.linspace(0.0, 1.0, num_points)
+    ranks = np.arange(1, ranked.shape[1] + 1)
+    precision_sum = np.zeros(num_points)
+    for rel in ranked:
+        total = rel.sum()
+        if total == 0:
+            continue
+        cum = np.cumsum(rel)
+        recall = cum / total
+        precision = cum / ranks
+        best_from = np.maximum.accumulate(precision[::-1])[::-1]
+        at = np.searchsorted(recall, levels, side="left")
+        precision_sum += best_from[np.minimum(at, len(recall) - 1)]
+    return list(zip(levels.tolist(), (precision_sum / len(ranked)).tolist()))
+
+
 def grid_argmin_weight(loss: float, gamma: float, grid_points: int = 10**6) -> float:
     """Brute-force minimizer of w*loss + gamma*(w^2/2 - w) over a [0,1] grid."""
     w = np.linspace(0.0, 1.0, grid_points)

@@ -11,9 +11,10 @@ import sphash.cli as cli_module
 import sphash.fileio as fileio
 from sphash.cli import _list_of, build_parser, main
 from sphash.errors import TrainingDivergedError
-from sphash.fileio import read_dataset
+from sphash.fileio import load_checkpoint, read_dataset, write_csv
 from sphash.data import split
-from oracles import final_weight_dump_reference
+from sphash.trainer import binary_codes
+from oracles import final_weight_dump_reference, naive_pr_curve, ranked_relevance_reference
 
 
 def artifact_bytes(directory, skip=("run_manifest.json",)):
@@ -149,6 +150,20 @@ class TestEval:
             assert (tmp_path / name).exists()
         detection = json.loads((tmp_path / "noise_detection.json").read_text())
         assert set(detection) == {"precision", "recall", "f1", "auc"}
+
+    def test_pr_curve_matches_dense_oracle_bytes(self, dataset_dir, train_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--out", str(out)]) == 0
+        params, _ = load_checkpoint(train_dir / "checkpoint.bin")
+        dataset, split_record = read_dataset(dataset_dir)
+        train_ds, _, test_ds = split(dataset, *split_record)
+        query, gallery = binary_codes(params, test_ds), binary_codes(params, train_ds)
+        ranked = ranked_relevance_reference(query[0], test_ds.true_labels,
+                                            gallery[1], train_ds.true_labels)
+        expected = tmp_path / "pr_i2t.csv"
+        write_csv(expected, ("recall", "precision"), naive_pr_curve(ranked, 21))
+        assert (out / "pr_i2t.csv").read_bytes() == expected.read_bytes()
 
     def test_incompatible_dims_exit_5(self, train_dir, tmp_path):
         other = tmp_path / "other_data"
@@ -335,6 +350,19 @@ class TestConfigFile:
         out = tmp_path / "data"
         assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
         assert artifact_bytes(out) == artifact_bytes(dataset_dir)
+
+    def test_file_supplies_a_required_flag(self, dataset_dir, tmp_path):
+        out = tmp_path / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 120, "k": 4, "m": 2, "dims": [10, 8],
+                                      "noise_rate": 0.5, "seed": 7, "out": str(out)}))
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert artifact_bytes(out) == artifact_bytes(dataset_dir)
+
+    def test_required_flag_in_neither_exit_2(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 120}))
+        assert main(["gen-data", "--config", str(config)]) == 2
 
     def test_sweep_lists_match_flags(self, sweep_dir, tmp_path):
         config = tmp_path / "config.json"

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     naive_average_precision,
     naive_mean_average_precision,
+    naive_pr_curve,
     ranked_relevance_reference,
 )
 from sphash.data import one_hot
@@ -61,6 +62,29 @@ def tie_heavy_tasks(draw):
         gallery_codes=pool[gallery_rows],
         gallery_labels=draw(arrays(np.uint8, (n_gallery, k), elements=label_bits)),
     )
+
+
+@st.composite
+def ragged_relevance(draw):
+    """(Q, G) bool rankings with Q around the query chunk: each row its own
+    relevant fraction, and some rows empty or all relevant."""
+    n_query = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    n_gallery = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rel = rng.random((n_query, n_gallery)) < rng.random((n_query, 1))
+    kind = rng.integers(0, 4, n_query)
+    rel[kind == 0] = False
+    rel[kind == 1] = True
+    return rel
+
+
+def task_ranked_as(rel):
+    """A task whose ranked_relevance is rel: every distance ties, so the ranking is
+    gallery order, and query i shares a class with gallery item j where rel[i, j]."""
+    n_query, n_gallery = rel.shape
+    codes = np.ones((max(n_query, n_gallery), 1), dtype=np.int8)
+    return RetrievalTask(codes[:n_query], rel.astype(np.uint8), codes[:n_gallery],
+                         np.eye(n_gallery, dtype=np.uint8))
 
 
 def distance(a, b) -> int:
@@ -329,6 +353,14 @@ class TestPrCurve:
         task = RetrievalTask(query, np.array([[1, 0]], dtype=np.uint8), gallery, labels)
         points = pr_curve(task, 5)
         assert np.isclose(points[-1].y, relevant.sum() / 20, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rel=ragged_relevance(), num_points=st.sampled_from([2, 3, 21, 10001]))
+    def test_matches_dense_oracle_bit_for_bit(self, rel, num_points):
+        task = task_ranked_as(rel)
+        assert np.array_equal(task.ranked_relevance, rel)
+        points = pr_curve(task, num_points)
+        assert [(p.x, p.y) for p in points] == naive_pr_curve(rel, num_points)
 
     def test_num_points_validated(self):
         rng = np.random.default_rng(10)

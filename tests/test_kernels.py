@@ -65,6 +65,29 @@ class TestApScores:
             for row, score in zip(rel, scores):
                 assert score == naive_average_precision(row.tolist())
 
+    @pytest.mark.parametrize("n_query", [63, 64, 65, 129])
+    def test_rows_across_the_query_chunk_match_naive_oracle_bitwise(self, n_query):
+        rng = np.random.default_rng(n_query)
+        rel = rng.random((n_query, 300)) < rng.random((n_query, 1))  # each row its own density
+        rel[::5] = False  # empty rows, in every chunk
+        scores = kernels.ap_scores(rel)
+        assert scores.shape == (n_query,)
+        for row, score in zip(rel, scores):
+            assert score == naive_average_precision(row.tolist())
+
     def test_empty_relevance_rows_score_zero(self):
         rel = np.zeros((3, 10), dtype=np.uint8)
         assert np.array_equal(kernels.ap_scores(rel), np.zeros(3))
+
+
+class TestRankedPrecision:
+    def test_precision_at_each_relevant_rank_zero_padded(self):
+        counts, precision = kernels.ranked_precision(
+            np.array([[0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 1, 1]], dtype=bool))
+        assert counts.tolist() == [2, 0, 3]
+        assert precision.tolist() == [[1 / 2, 2 / 3, 0.0], [0.0, 0.0, 0.0], [1.0, 2 / 3, 3 / 4]]
+
+    def test_no_relevant_rank_gives_one_zero_column(self):
+        counts, precision = kernels.ranked_precision(np.zeros((2, 5), dtype=bool))
+        assert counts.tolist() == [0, 0]
+        assert precision.tolist() == [[0.0], [0.0]]
