@@ -338,12 +338,13 @@ def cmd_eval(args) -> int:
 def _sweep_grid(args) -> tuple[SynthSpec, dict]:
     """The sweep's SynthSpec and one resolved TrainConfig per (bits, variant), all checked.
 
-    Raises ParameterError for an empty axis or any bad noise rate, size,
-    split, code length or variant, so a grid that cannot run fails before
-    its first cell writes anything.
+    Raises ParameterError for an empty axis, a value repeated on an axis as parsed
+    (0.2,0.20 too), or any bad noise rate, size, split, code length or variant,
+    so a grid that cannot run fails before its first cell writes anything.
     """
-    if not (args.noise_rates and args.bits and args.variants):
-        raise ParameterError("the grid needs at least one noise rate, code length and variant")
+    for axis in (args.noise_rates, args.bits, args.variants):
+        if not axis or len(set(axis)) < len(axis):  # a repeat reruns a cell into its directory
+            raise ParameterError(f"each grid axis needs one or more distinct values, got {axis}")
     for noise in args.noise_rates:  # the check inject_symmetric_noise makes per cell
         if not 0.0 <= noise <= 1.0:
             raise ParameterError(f"noise rate {noise} outside [0, 1]")

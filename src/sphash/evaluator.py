@@ -5,15 +5,15 @@ ascending gallery index, so rankings (and therefore every metric here) are
 deterministic. Distances are the narrowest unsigned integer that holds the
 code length, so the stable argsort that ranks them is numpy's O(n) radix sort.
 An item is relevant to a query when the two share at least one class; the
-shared-class count is a float32 matrix product, exact for any class count
-below 2**24. MAP is computed over the full gallery ranking; queries with no
-relevant item score 0 and are counted in the mean. Per-query results combine
-in fixed index order, keeping MAP bit-identical across runs. Each task ranks
-its gallery once; MAP and the PR curve both read that ranking, and both read
-only its relevant ranks (``kernels.ranked_precision``). A PR curve needs no
-more: recall first reaches a level at a relevant rank, and precision after a
-rank peaks at a relevant one, so the curve is the one a scan of every rank
-gives, bit for bit.
+shared-class count is a float32 matrix product per query chunk, exact for any
+class count below 2**24. MAP is computed over the full gallery ranking;
+queries with no relevant item score 0 and are counted in the mean. Per-query
+results combine in fixed index order, keeping MAP bit-identical across runs.
+Each task ranks its gallery once; MAP and the PR curve both read that ranking,
+and both read only its relevant ranks (``kernels.ranked_precision``). A PR
+curve needs no more: recall first reaches a level at a relevant rank, and
+precision after a rank peaks at a relevant one, so the curve is the one a scan
+of every rank gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,23 +52,19 @@ class RetrievalTask:
         if self.gallery_labels.shape[0] != self.gallery_codes.shape[0]:
             raise ShapeError("gallery labels do not match gallery codes")
 
-    def relevance(self) -> np.ndarray:
-        """(Q, G) bool: share at least one class."""
-        q = self.query_labels.astype(np.float32)
-        g = self.gallery_labels.astype(np.float32)
-        return (q @ g.T) >= 1  # BLAS; counts below 2**24 are exact in float32
-
     @cached_property
     def ranked_relevance(self) -> np.ndarray:
-        """(Q, G) relevance in rank order, computed once per task."""
-        relevance = self.relevance()
+        """(Q, G) bool, share at least one class, in rank order; computed once per task."""
+        query_labels = self.query_labels.astype(np.float32)
+        gallery_labels = self.gallery_labels.astype(np.float32).T
         distances = pairwise_hamming(self.query_codes, self.gallery_codes)
-        ranked = np.empty_like(relevance)
+        ranked = np.empty(distances.shape, dtype=bool)
         for start in range(0, len(ranked), kernels.QUERY_CHUNK):
             rows = slice(start, start + kernels.QUERY_CHUNK)
+            relevance = query_labels[rows] @ gallery_labels >= 1  # BLAS; exact in float32
             order = np.argsort(distances[rows], axis=1, kind="stable")  # radix sort on narrow keys
             order += np.arange(0, order.size, order.shape[1])[:, None]  # flat index into the chunk
-            ranked[rows] = relevance[rows].ravel().take(order)
+            ranked[rows] = relevance.ravel().take(order)
         ranked.flags.writeable = False  # shared by every metric of this task
         return ranked
 

@@ -18,7 +18,9 @@ dataclasses, numpy scalars and paths converted. The weight dump
 epoch and training instance; every run has a self-paced epoch, so it has rows.
 
 Every artifact, binary or text, is written to a temp file beside its target
-and renamed over it, so readers never see a partial file.
+and renamed over it, so readers never see a partial file. ``atomic_write``
+writes byte chunks in turn (a header and blocks, one weight-dump epoch each):
+no writer joins its pieces first.
 """
 
 from __future__ import annotations
@@ -54,17 +56,18 @@ _MAX_ELEMENTS = 1 << 40  # anything larger is a corrupt header, not a real matri
 
 # the weights.csv header, which read_weight_log requires verbatim, and its row format
 WEIGHT_LOG_COLUMNS = ("epoch", "instance_index", "loss", "weight", "is_noisy_ground_truth")
-_WEIGHT_LOG_ROW = "%d,%d,%.6f,%.6f,%d"
+_WEIGHT_LOG_ROW = "%d,%d,%.6f,%.6f,%d\n"
 _WEIGHT_LOG_DTYPE = np.dtype(
     [(name, np.float64 if name in ("loss", "weight") else np.int64) for name in WEIGHT_LOG_COLUMNS]
 )
 
 
-def atomic_write(path: Path, payload: bytes) -> None:
-    """Write payload to a temp file beside path, then rename it over path."""
+def atomic_write(path, chunks) -> None:
+    """Write byte chunks in turn to a temp file beside path, then rename it over path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -78,20 +81,22 @@ def _csv_cell(value) -> str:
 
 def write_csv(path, columns, rows) -> None:
     """Write a header of ``columns`` and one line per row of cells."""
-    lines = [",".join(columns)]
-    lines += [",".join(map(_csv_cell, row)) for row in rows]
-    atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+    lines = (",".join(map(_csv_cell, row)) + "\n" for row in [columns, *rows])
+    atomic_write(path, ["".join(lines).encode()])
 
 
-def write_weight_log(path, snapshots, instance_index, noisy) -> None:
-    """One row per snapshot (epoch, losses, weights) and instance, in write_csv's bytes."""
+def write_weight_log(path, first_epoch, losses, weights, instance_index, noisy) -> None:
+    """One row per epoch and instance in write_csv's bytes, one epoch at a time; row i
+    of the (epochs, N) ``losses`` and ``weights`` is epoch first_epoch + i."""
     rows, noisy = instance_index.tolist(), noisy.astype(int).tolist()
-    lines = [",".join(WEIGHT_LOG_COLUMNS)]
-    for snap in snapshots:
-        cells = zip(itertools.repeat(snap.epoch), rows, snap.losses.tolist(),
-                    snap.weights.tolist(), noisy)
-        lines += map(_WEIGHT_LOG_ROW.__mod__, cells)
-    atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+
+    def chunks():
+        yield (",".join(WEIGHT_LOG_COLUMNS) + "\n").encode()
+        for epoch, loss, weight in zip(itertools.count(first_epoch), losses, weights):
+            cells = zip(itertools.repeat(epoch), rows, loss.tolist(), weight.tolist(), noisy)
+            yield "".join(map(_WEIGHT_LOG_ROW.__mod__, cells)).encode()
+
+    atomic_write(path, chunks())
 
 
 def read_weight_log(path):
@@ -132,7 +137,7 @@ def _json_default(obj):
 def write_json(path, obj) -> None:
     """Write obj as indented, key-sorted JSON with a trailing newline."""
     text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
-    atomic_write(Path(path), (text + "\n").encode())
+    atomic_write(path, [(text + "\n").encode()])
 
 
 class _Reader:
@@ -175,7 +180,7 @@ def _save_matrix(matrix: np.ndarray, path, magic: bytes, dtype, kind: str) -> No
     if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
         raise ParameterError(f"{kind} matrix must be 2-d and non-empty, got shape {matrix.shape}")
     header = _HEADER.pack(magic, FORMAT_VERSION, 0, *matrix.shape)
-    atomic_write(Path(path), header + matrix.astype(dtype).tobytes())
+    atomic_write(path, [header, matrix.astype(dtype).tobytes()])
 
 
 def _load_matrix(path, magic: bytes, dtype) -> np.ndarray:
@@ -312,7 +317,7 @@ def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> Non
     header = _HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, 0, len(params.dims), params.hidden_dim)
     sizes = np.array([params.code_length, centers.shape[0], *params.dims], dtype="<u8")
     blocks = (sizes, centers.astype(np.int8), params.flat.astype("<f4"))
-    atomic_write(Path(path), header + b"".join(block.tobytes() for block in blocks))
+    atomic_write(path, [header, *(block.tobytes() for block in blocks)])
 
 
 def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:

@@ -137,19 +137,14 @@ class EpochRecord:
 
 
 @dataclass
-class WeightSnapshot:
-    """Weights in effect during one self-paced epoch, with their losses."""
-
-    epoch: int
-    losses: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass
 class TrainReport:
+    """The resolved config, a record per epoch, and the self-paced history: row i of
+    instance_losses and weights, one column per instance, is epoch warmup_epochs + i."""
+
     config: TrainConfig
     records: list[EpochRecord]
-    weight_log: list[WeightSnapshot]
+    instance_losses: np.ndarray  # (max_epochs - warmup_epochs, N)
+    weights: np.ndarray          # same shape
     best_epoch: int
     best_val_map: float
     checkpoint_path: Path
@@ -278,21 +273,23 @@ def train(
 
     checkpoint_path = workdir / "checkpoint.bin"
     records: list[EpochRecord] = []
-    weight_log: list[WeightSnapshot] = []
+    paced_losses = np.empty((config.max_epochs - config.warmup_epochs, n_train))
+    paced_weights = np.empty_like(paced_losses)
     best_epoch, best_map = -1, -np.inf
 
     for epoch in range(config.max_epochs):
         weights_all = gamma = zero_count = None  # no weights: a warm-up epoch
         if epoch >= config.warmup_epochs:
-            gamma = pacer.gamma_at(config.pace, epoch - config.warmup_epochs)
-            instance_losses = _full_train_losses(params, centers, x_all, labels, config.loss, epoch)
-            weights_all = pacer.refresh_weights(instance_losses, gamma)
+            paced = epoch - config.warmup_epochs
+            gamma = pacer.gamma_at(config.pace, paced)
+            paced_losses[paced] = _full_train_losses(params, centers, x_all, labels, config.loss, epoch)
+            weights_all = pacer.refresh_weights(paced_losses[paced], gamma)
             if config.variant == "no_spl":
                 weights_all = SampleWeights(np.ones(n_train), gamma)
             elif config.variant == "binarize_weights":
                 weights_all = pacer.binarize_weights(weights_all)
             zero_count = int((weights_all.values == 0).sum())
-            weight_log.append(WeightSnapshot(epoch, instance_losses, weights_all.values.copy()))
+            paced_weights[paced] = weights_all.values
 
         perm = spawn_rng(config.seed, "shuffle", epoch).permutation(n_train)
         sums = {"total": 0.0, "contrastive": 0.0, "center": 0.0}
@@ -343,7 +340,8 @@ def train(
     return TrainReport(
         config=config,
         records=records,
-        weight_log=weight_log,
+        instance_losses=paced_losses,
+        weights=paced_weights,
         best_epoch=best_epoch,
         best_val_map=float(best_map),
         checkpoint_path=checkpoint_path,
@@ -358,7 +356,6 @@ def write_report_csv(report: TrainReport, path) -> None:
 
 def write_weight_log_csv(report: TrainReport, train_ds: MultiModalDataset, path) -> None:
     """Per-epoch weight dump (``fileio.write_weight_log``) for detection analysis."""
-    rows = train_ds.source_rows
-    if rows is None:
-        rows = np.arange(train_ds.n)
-    write_weight_log(path, report.weight_log, rows, train_ds.noise_mask)
+    rows = np.arange(train_ds.n) if train_ds.source_rows is None else train_ds.source_rows
+    write_weight_log(path, report.config.warmup_epochs, report.instance_losses, report.weights,
+                     rows, train_ds.noise_mask)

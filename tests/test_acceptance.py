@@ -65,11 +65,10 @@ def train_benchmark(noise: float, variant: str, tmp_path_factory):
         evaluator.mean_average_precision(task)
         for task in evaluator.cross_modal_tasks(q, te.true_labels, g, tr.true_labels)
     )
-    auc_first = f1_best = float("nan")
-    if rep.weight_log:
-        auc_first = evaluator.noise_detection_score(rep.weight_log[0].weights, tr.noise_mask).auc
-        at_best = [s for s in rep.weight_log if s.epoch <= rep.best_epoch] or rep.weight_log[:1]
-        f1_best = evaluator.noise_detection_score(at_best[-1].weights, tr.noise_mask).f1
+    # row i of the history is epoch warmup + i; a best epoch in warm-up scores row 0
+    at_best = rep.weights[max(rep.best_epoch - rep.config.warmup_epochs, 0)]
+    auc_first = evaluator.noise_detection_score(rep.weights[0], tr.noise_mask).auc
+    f1_best = evaluator.noise_detection_score(at_best, tr.noise_mask).f1
     return {
         "map": 0.5 * (i2t + t2i),
         "seconds": seconds,
@@ -278,9 +277,11 @@ def test_criterion_6_noise_separation(bench):
 def test_monitored_retained_loss_trend(bench):
     """Monitored, not gating: mean loss over retained instances should not
     rise across 5-epoch windows once self-pacing starts."""
-    snapshots = bench[("full", 0.6)]["report"].weight_log
+    report = bench[("full", 0.6)]["report"]
     means = [
-        float(s.losses[s.weights > 0].mean()) for s in snapshots if (s.weights > 0).any()
+        float(losses[weights > 0].mean())
+        for losses, weights in zip(report.instance_losses, report.weights)
+        if (weights > 0).any()
     ]
     violations = [
         (i, means[i], means[i + 5])

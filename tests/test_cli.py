@@ -254,11 +254,15 @@ class TestSweep:
             ("--noise-rates", ""),
             ("--bits", ","),
             ("--variants", ""),
+            ("--noise-rates", "0.2,0.20"),  # one value as parsed
+            ("--bits", "8,16,8"),
+            ("--variants", "full,full"),
         ],
         ids=["noise-above-one", "noise-below-zero", "unknown-variant", "zero-bits",
              "bits-below-capacity", "n-below-k",
              "no-test-split", "gamma-above-bound", "infinite-separation", "infinite-noise-std",
-             "no-noise-rate", "no-bits", "no-variant"],
+             "no-noise-rate", "no-bits", "no-variant",
+             "repeated-noise-rate", "repeated-bits", "repeated-variant"],
     )
     def test_bad_grid_exits_2_before_any_cell(self, tmp_path, flag, value):
         # a repeated flag's last value wins

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,8 +184,6 @@ class TestRankGallery:
         )
         assert task.ranked_relevance.dtype == bool
         assert np.array_equal(task.ranked_relevance, expected)
-        shared = task.query_labels.astype(np.int64) @ task.gallery_labels.astype(np.int64).T
-        assert np.array_equal(task.relevance(), shared >= 1)
 
     def test_matches_stable_int64_oracle_over_many_query_rows(self):
         rng = np.random.default_rng(16)
@@ -214,6 +214,19 @@ class TestRankOnce:
         mean_average_precision(task)
         pr_curve(task, 5)
         assert len(calls) == 1
+
+    def test_ranking_peaks_below_a_dense_float32_relevance(self):
+        # relevance is computed one query chunk at a time, never as a (Q, G) float32 matrix
+        n = 2000
+        task = random_task(np.random.default_rng(17), n, n, length=32, k=8, multi_label=True)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            task.ranked_relevance
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 4
 
     def test_cross_modal_directions(self):
         rng = np.random.default_rng(15)
@@ -311,7 +324,8 @@ class TestMeanAveragePrecision:
             task.gallery_labels[perm],
         )
         dist = pairwise_hamming(permuted.query_codes, permuted.gallery_codes)
-        rel = permuted.relevance()
+        shared = permuted.query_labels.astype(np.int64) @ permuted.gallery_labels.astype(np.int64).T
+        rel = shared >= 1
         total = 0.0
         for qi in range(5):
             order = np.lexsort((perm, dist[qi]))  # tie-break on original index

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,16 +17,19 @@ from sphash.errors import (
     TruncatedPayloadError,
 )
 from sphash.fileio import (
+    atomic_write,
     load_checkpoint,
     load_features,
     load_labels,
     read_dataset,
+    read_weight_log,
     save_checkpoint,
     save_features,
     save_labels,
     write_csv,
     write_dataset,
     write_json,
+    write_weight_log,
 )
 
 
@@ -228,6 +232,37 @@ class TestCsvWriter:
         write_csv(path, ["x", "y"], iter(()))
         assert path.read_bytes() == b"x,y\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temp file left
+
+
+class TestChunkedWrites:
+    def test_atomic_write_writes_chunks_in_turn(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"old")
+        atomic_write(path, (bytes([i]) * i for i in range(1, 4)))
+        assert path.read_bytes() == b"\x01\x02\x02\x03\x03\x03"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
+    def test_weight_log_is_written_one_epoch_at_a_time(self, tmp_path):
+        # no buffer of the whole dump: the traced peak stays below half the file's size
+        rng = np.random.default_rng(0)
+        epochs, n = 50, 2000
+        losses, weights = 3.0 * rng.random((epochs, n)), rng.random((epochs, n))
+        rows, noisy = rng.permutation(3 * n)[:n], rng.random(n) < 0.4
+        path = tmp_path / "weights.csv"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            write_weight_log(path, 7, losses, weights, rows, noisy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + epochs * n
+        assert lines[1].startswith(f"7,{rows[0]},") and lines[-1].startswith(f"56,{rows[-1]},")
+        idx, last, flags = read_weight_log(path)
+        assert idx.tolist() == rows.tolist() and flags.tolist() == noisy.astype(int).tolist()
+        assert last.tolist() == [float(f"{w:.6f}") for w in weights[-1].tolist()]
 
 
 @dataclass

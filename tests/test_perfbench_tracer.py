@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sphash import pacer
+from sphash import pacer, trainer
+from sphash.data import SynthSpec, generate_synthetic, split
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -63,3 +64,19 @@ def test_refresh_counter_reads_weight_values():
     recorder = tracer.Tracer()
     tracer.COUNTERS["pacer.refresh_weights"](recorder, {}, result)
     assert recorder.counters == {"pacer.admitted_ratio.sum": 0.5}
+
+
+def test_weight_log_counter_reads_the_written_file_size(tmp_path):
+    tracer = load_tracer()
+    name = "trainer.write_weight_log_csv"
+    recorder = tracer.Tracer()
+    write = recorder.wrap(name, trainer.write_weight_log_csv, tracer.COUNTERS[name])
+    dataset = generate_synthetic(SynthSpec(n=60, k=3, m=2, dims=(6, 5), seed=4))
+    train_ds, val_ds, _ = split(dataset, 0.6, 0.2, 4)
+    config = trainer.TrainConfig(code_length=8, hidden_dim=8, batch_size=16, warmup_epochs=1,
+                                 max_epochs=3, seed=4)
+    report = trainer.train(train_ds, val_ds, config, tmp_path)
+    path = tmp_path / "weights.csv"
+    write(report, train_ds, path)
+    assert recorder.counters == {f"{name}.bytes": path.stat().st_size}
+    assert path.stat().st_size > 0

@@ -9,7 +9,7 @@ from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
 from sphash.fileio import WEIGHT_LOG_COLUMNS, load_checkpoint, read_weight_log, write_csv
 from sphash.losses import LossConfig
-from sphash.pacer import PaceSchedule, SampleWeights
+from sphash.pacer import PaceSchedule, SampleWeights, refresh_weights
 from sphash.seeding import stable_seed
 from sphash.trainer import (
     OPTIMIZERS,
@@ -17,7 +17,6 @@ from sphash.trainer import (
     WARMUP,
     TrainConfig,
     TrainReport,
-    WeightSnapshot,
     _OptimizerState,
     resolve_config,
     step,
@@ -206,6 +205,14 @@ class TestTrainLoop:
             else:
                 assert rec.gamma is not None and rec.zero_weight_count is not None
 
+    def test_history_row_i_is_epoch_warmup_plus_i(self, tmp_path):
+        tr, va, _ = tiny_splits()
+        report = train(tr, va, tiny_config(), tmp_path)
+        assert report.instance_losses.shape == report.weights.shape == (3, tr.n)
+        for rec, losses, weights in zip(report.records[2:], report.instance_losses, report.weights):
+            assert (refresh_weights(losses, rec.gamma).values == weights).all()
+            assert rec.zero_weight_count == (weights == 0).sum()
+
     def test_deterministic_reports_and_checkpoints(self, tmp_path):
         tr, va, _ = tiny_splits()
         r1 = train(tr, va, tiny_config(), tmp_path / "a")
@@ -222,8 +229,7 @@ class TestTrainLoop:
         for rec in report.records:
             if rec.phase == SELFPACED:
                 assert rec.zero_weight_count == 0
-        for snap in report.weight_log:
-            assert (snap.weights == 1.0).all()
+        assert (report.weights == 1.0).all()
 
     def test_no_chl_variant_never_evaluates_contrastive(self, tmp_path):
         tr, va, _ = tiny_splits()
@@ -239,8 +245,7 @@ class TestTrainLoop:
         tr, va, _ = tiny_splits()
         cfg = tiny_config(variant="gamma_override", pace=PaceSchedule(gamma_start=200.0))
         report = train(tr, va, cfg, tmp_path)
-        for snap in report.weight_log:
-            assert (snap.weights > 0.9).all()
+        assert (report.weights > 0.9).all()
         for rec in report.records:
             if rec.phase == SELFPACED:
                 assert rec.zero_weight_count == 0
@@ -248,8 +253,7 @@ class TestTrainLoop:
     def test_binarize_weights_variant(self, tmp_path):
         tr, va, _ = tiny_splits()
         report = train(tr, va, tiny_config(variant="binarize_weights"), tmp_path)
-        for snap in report.weight_log:
-            assert set(np.unique(snap.weights)).issubset({0.0, 1.0})
+        assert set(np.unique(report.weights)).issubset({0.0, 1.0})
 
     def test_best_checkpoint_reproduces_encoder(self, tmp_path):
         tr, va, _ = tiny_splits()
@@ -309,23 +313,21 @@ class TestReportFiles:
         tr, _, _ = tiny_splits()
         edges = [0.0, 1.0, 2.5e-7, 0.1234565, 0.9999995, 5e-7, 1.5e-6, 0.5]
         losses = [0.0, 999.9999995, 1e3, 998.1234565, 2.5e-7, 0.1234565, 1.0, 3.0]
-        log = [
-            WeightSnapshot(epoch, np.resize(np.roll(losses, epoch), tr.n),
-                           np.resize(np.roll(edges, epoch), tr.n))
-            for epoch in (2, 3, 4)
-        ]
-        report = TrainReport(tiny_config(), [], log, 0, 0.0, tmp_path / "checkpoint.bin")
+        epochs = (2, 3, 4)  # tiny_config's warm-up is 2 of 5 epochs
+        history = [np.array([np.resize(np.roll(values, epoch), tr.n) for epoch in epochs])
+                   for values in (losses, edges)]
+        report = TrainReport(tiny_config(), [], *history, 0, 0.0, tmp_path / "checkpoint.bin")
         path, reference = tmp_path / "weights.csv", tmp_path / "reference.csv"
         write_weight_log_csv(report, tr, path)
         write_csv(reference, WEIGHT_LOG_COLUMNS, [
-            (snap.epoch, int(row), float(loss), float(weight), int(noisy))
-            for snap in log
-            for row, loss, weight, noisy in zip(tr.source_rows, snap.losses, snap.weights,
+            (epoch, int(row), float(loss), float(weight), int(noisy))
+            for epoch, epoch_losses, epoch_weights in zip(epochs, *history)
+            for row, loss, weight, noisy in zip(tr.source_rows, epoch_losses, epoch_weights,
                                                 tr.noise_mask)
         ])
         assert path.read_bytes() == reference.read_bytes()
 
         idx, weights, noisy = read_weight_log(path)
         assert idx.tolist() == tr.source_rows.tolist()
-        assert weights.tolist() == [float(f"{w:.6f}") for w in log[-1].weights.tolist()]
+        assert weights.tolist() == [float(f"{w:.6f}") for w in report.weights[-1].tolist()]
         assert noisy.tolist() == tr.noise_mask.astype(int).tolist()
