@@ -42,7 +42,8 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fileio import (
-    load_checkpoint, read_dataset, read_weight_log, write_csv, write_dataset, write_json,
+    dataset_files, load_checkpoint, read_dataset, read_weight_log, save_checkpoint, write_csv,
+    write_dataset, write_json,
 )
 from .losses import LossConfig
 from .pacer import PaceSchedule
@@ -215,28 +216,27 @@ def cmd_gen_data(args) -> int:
     started = time.time()
     out = Path(args.out)
     spec = _synth_spec(args)
-    manifest_path = _write_synthetic(args, spec, args.noise_rate, out)
-    artifacts = sorted(p.name for p in out.iterdir() if p.suffix in (".fmat", ".lmat"))
-    artifacts.append(manifest_path.name)
+    _write_synthetic(args, spec, args.noise_rate, out)
+    artifacts = dataset_files(spec.m)
     config = {"synth": spec, "noise_rate": args.noise_rate}
     _write_run_manifest(out, "gen-data", config, args.seed, artifacts, started, args.argv)
     print(f"wrote dataset with {spec.n} instances to {out}")
     return 0
 
 
+_TRAIN_ARTIFACTS = ("checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv")
+
+
 def _run_training(dataset, split_record, config: trainer.TrainConfig, out: Path):
+    """Train on the dataset's split, then write the _TRAIN_ARTIFACTS to out."""
+    out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, test_ds = split(dataset, *split_record)
-    report = trainer.train(train_ds, val_ds, config, out)
+    report = trainer.train(train_ds, val_ds, config)
+    save_checkpoint(report.best_params, report.centers, out / "checkpoint.bin")
     trainer.write_report_csv(report, out / "report.csv")
-    write_csv(
-        out / "map_curve.csv",
-        ("epoch", "map_i2t", "map_t2i"),
-        [
-            (rec.epoch, rec.val_map_i2t, rec.val_map_t2i)
-            for rec in report.records
-            if rec.val_map_i2t is not None
-        ],
-    )
+    curve = [(rec.epoch, rec.val_map_i2t, rec.val_map_t2i)
+             for rec in report.records if rec.val_map_i2t is not None]
+    write_csv(out / "map_curve.csv", ("epoch", "map_i2t", "map_t2i"), curve)
     trainer.write_weight_log_csv(report, train_ds, out / "weights.csv")
     return report, (train_ds, val_ds, test_ds)
 
@@ -247,15 +247,11 @@ def cmd_train(args) -> int:
     config = _train_config(args, args.bits, args.variant)
     check_capacity(dataset.class_count, config.code_length)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report, _ = _run_training(dataset, split_record, config, out)
-    artifacts = ["checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv"]
     _write_run_manifest(out, "train", {"train": report.config, "data": str(args.data)},
-                        args.seed, artifacts, started, args.argv)
-    print(
-        f"best epoch {report.best_epoch} with validation MAP {report.best_val_map:.4f}; "
-        f"checkpoint at {report.checkpoint_path}"
-    )
+                        args.seed, _TRAIN_ARTIFACTS, started, args.argv)
+    print(f"best epoch {report.best_epoch} with validation MAP {report.best_val_map:.4f}; "
+          f"checkpoint at {out / 'checkpoint.bin'}")
     return 0
 
 
@@ -416,10 +412,9 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
     """gen-data + train + test-split MAP for one sweep cell, spec and config reseeded."""
     spec, config = dataclasses.replace(spec, seed=seed), dataclasses.replace(config, seed=seed)
     dataset, split_record = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
-    report, (train_ds, _, test_ds) = _run_training(dataset, split_record, config,
-                                                   cell_dir / "train")
-
-    params, _ = load_checkpoint(report.checkpoint_path)
+    _, (train_ds, _, test_ds) = _run_training(dataset, split_record, config, cell_dir / "train")
+    # score the checkpoint's float32 weights, as eval does
+    params, _ = load_checkpoint(cell_dir / "train" / "checkpoint.bin")
     return tuple(score for _, score in _test_split_scores(params, train_ds, test_ds))
 
 

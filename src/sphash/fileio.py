@@ -223,30 +223,35 @@ def load_labels(path) -> np.ndarray:
 MANIFEST_NAME = "manifest.json"
 
 
+def dataset_files(m: int) -> list[str]:
+    """The files write_dataset writes for m modalities, the manifest last."""
+    return [*(f"modality_{i}.fmat" for i in range(m)), "labels.lmat", "true_labels.lmat",
+            "noise_mask.lmat", MANIFEST_NAME]
+
+
 def write_dataset(dataset: MultiModalDataset, out_dir, split: tuple[float, float, int]) -> Path:
-    """Write modality/label/mask files plus the JSON manifest; returns its path.
+    """Write the dataset_files: modality/label/mask files, then the manifest; returns its path.
 
     ``split`` is the (train_frac, val_frac, seed) record read_dataset returns.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    *features, labels, true_labels, mask, manifest_name = dataset_files(dataset.m)
     manifest = {
-        "modalities": [],
-        "labels": "labels.lmat",
-        "true_labels": "true_labels.lmat",
-        "mask": "noise_mask.lmat",
+        "modalities": features,
+        "labels": labels,
+        "true_labels": true_labels,
+        "mask": mask,
         "class_count": dataset.class_count,
         "seed": dataset.seed,
         "split": dict(zip(_SPLIT_TYPES, split)),
     }
-    for i, x in enumerate(dataset.modalities):
-        name = f"modality_{i}.fmat"
+    for x, name in zip(dataset.modalities, features):
         save_features(x, out_dir / name)
-        manifest["modalities"].append(name)
-    save_labels(dataset.labels, out_dir / manifest["labels"])
-    save_labels(dataset.true_labels, out_dir / manifest["true_labels"])
-    save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / manifest["mask"])
-    path = out_dir / MANIFEST_NAME
+    save_labels(dataset.labels, out_dir / labels)
+    save_labels(dataset.true_labels, out_dir / true_labels)
+    save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / mask)
+    path = out_dir / manifest_name
     write_json(path, manifest)
     return path
 

@@ -6,10 +6,10 @@ per-instance weights over the full training split with parameters frozen
 (one forward pass), then runs mini-batch updates on the weighted objective
 with those weights constant. Whether an epoch has weights is the only record
 of its phase; ``EpochRecord.phase`` names it for the report.
-Model selection keeps the checkpoint from the epoch with the best validation
-MAP (mean of both retrieval directions). Two runs with the same config and
-seed produce identical reports: batch order, reduction order, and every
-sub-seed derive from the run seed.
+Model selection keeps the weights from the epoch with the best validation
+MAP (mean of both retrieval directions); ``train`` writes no file. Two runs
+with the same config and seed produce identical reports: batch order,
+reduction order, and every sub-seed derive from the run seed.
 
 A mini-batch step runs every encoder forward once, takes the objective's
 parts and code gradients from ``losses.total_loss``, runs
@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .encoder import (
     init_params,
 )
 from .errors import ParameterError, ShapeError, TrainingDivergedError
-from .fileio import save_checkpoint, write_csv, write_weight_log
+from .fileio import write_csv, write_weight_log
 from .losses import BatchCodes, LossConfig
 from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
@@ -138,8 +137,8 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
-    """The resolved config, a record per epoch, and the self-paced history: row i of
-    instance_losses and weights, one column per instance, is epoch warmup_epochs + i."""
+    """The resolved config, a record per epoch, the self-paced history (row i of instance_losses
+    and weights is epoch warmup_epochs + i) and best_epoch's encoder weights with the centers."""
 
     config: TrainConfig
     records: list[EpochRecord]
@@ -147,7 +146,8 @@ class TrainReport:
     weights: np.ndarray          # same shape
     best_epoch: int
     best_val_map: float
-    checkpoint_path: Path
+    best_params: HashEncoderParams
+    centers: np.ndarray
 
 
 class _OptimizerState:
@@ -257,10 +257,7 @@ def train(
     train_ds: MultiModalDataset,
     val_ds: MultiModalDataset,
     config: TrainConfig,
-    workdir,
 ) -> TrainReport:
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     config = resolve_config(config, train_ds.m)
 
     params = init_params(train_ds.dims, config.hidden_dim, config.code_length, config.seed)
@@ -271,11 +268,11 @@ def train(
     labels = train_ds.labels
     n_train = train_ds.n
 
-    checkpoint_path = workdir / "checkpoint.bin"
     records: list[EpochRecord] = []
     paced_losses = np.empty((config.max_epochs - config.warmup_epochs, n_train))
     paced_weights = np.empty_like(paced_losses)
     best_epoch, best_map = -1, -np.inf
+    best_flat = params.flat.copy()  # filled in place: no new allocation per improvement
 
     for epoch in range(config.max_epochs):
         weights_all = gamma = zero_count = None  # no weights: a warm-up epoch
@@ -321,7 +318,7 @@ def train(
             if mean_map > best_map:
                 best_map = mean_map
                 best_epoch = epoch
-                save_checkpoint(params, centers, checkpoint_path)
+                best_flat[:] = params.flat
 
         records.append(
             EpochRecord(
@@ -344,7 +341,8 @@ def train(
         weights=paced_weights,
         best_epoch=best_epoch,
         best_val_map=float(best_map),
-        checkpoint_path=checkpoint_path,
+        best_params=dataclasses.replace(params, flat=best_flat),
+        centers=centers,
     )
 
 

@@ -22,7 +22,7 @@ from sphash import evaluator, kernels, losses
 from sphash.cli import main as cli_main
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, one_hot, split
 from sphash.encoder import backward, encode, forward, init_centers, init_params
-from sphash.fileio import load_checkpoint
+from sphash.fileio import load_checkpoint, save_checkpoint
 from sphash.losses import BatchCodes, LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights, gamma_bounds, refresh_weights
 from sphash.seeding import stable_seed
@@ -54,11 +54,13 @@ def train_benchmark(noise: float, variant: str, tmp_path_factory):
     config = TrainConfig(
         code_length=BENCH["code_length"], seed=BENCH_SEED, variant=variant, pace=pace
     )
-    workdir = tmp_path_factory.mktemp(f"bench_{variant}_{noise}")
     started = time.monotonic()
-    rep = train(tr, va, config, workdir)
+    rep = train(tr, va, config)
     seconds = time.monotonic() - started
-    params, _ = load_checkpoint(rep.checkpoint_path)
+    # score the float32 weights a checkpoint holds, as eval does
+    checkpoint = tmp_path_factory.mktemp(f"bench_{variant}_{noise}") / "checkpoint.bin"
+    save_checkpoint(rep.best_params, rep.centers, checkpoint)
+    params, _ = load_checkpoint(checkpoint)
     q = binary_codes(params, te)
     g = binary_codes(params, tr)
     i2t, t2i = (

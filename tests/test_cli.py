@@ -87,6 +87,16 @@ class TestGenData:
         assert manifest["artifacts"]
         assert "duration_seconds" in manifest
 
+    def test_run_manifest_lists_only_the_files_it_wrote(self, tmp_path):
+        (tmp_path / "stale.fmat").touch()
+        (tmp_path / "old.lmat").touch()
+        assert main(GEN_ARGS + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == [
+            "labels.lmat", "manifest.json", "modality_0.fmat", "modality_1.fmat",
+            "noise_mask.lmat", "true_labels.lmat",
+        ]
+
 
 class TestTrain:
     def test_outputs_exist(self, train_dir):
@@ -296,6 +306,23 @@ class TestSweep:
         assert main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 1
         rows = (tmp_path / "aggregate.csv").read_text().strip().splitlines()[1:]
         assert all(row.split(",")[1:] == ["error"] * 4 for row in rows)
+        assert list((tmp_path / "cells").glob("*/train/checkpoint.bin")) == []
+
+    def test_cell_equals_a_standalone_train_and_eval(self, sweep_dir, tmp_path):
+        cell = sweep_dir / "cells" / "n0.6_b8_no_spl"
+        seed = json.loads((cell / "data" / "manifest.json").read_text())["seed"]
+        model, scores = tmp_path / "model", tmp_path / "eval"
+        assert main(["train", "--data", str(cell / "data"), "--out", str(model), "--bits", "8",
+                     "--variant", "no_spl", "--seed", str(seed), "--hidden", "10",
+                     "--batch-size", "16", "--warmup", "1", "--epochs", "3", "--alpha", "0.1"]) == 0
+        for name in ("checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv"):
+            assert (model / name).read_bytes() == (cell / "train" / name).read_bytes(), name
+        assert main(["eval", "--checkpoint", str(model / "checkpoint.bin"),
+                     "--data", str(cell / "data"), "--out", str(scores)]) == 0
+        maps = dict(line.split(",") for line in (scores / "map.csv").read_text().splitlines()[1:])
+        header, *rows = (sweep_dir / "aggregate.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), next(r for r in rows if r.startswith("no_spl,")).split(",")))
+        assert maps == {"i2t": row["i2t_n0.6_b8"], "t2i": row["t2i_n0.6_b8"]}
 
 
 class TestConfigFile:
@@ -841,6 +868,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module.trainer, "train", explode)
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path)])
         assert code == 4
+
+    def test_diverged_train_leaves_no_file(self, dataset_dir, tmp_path, monkeypatch):
+        real = cli_module.trainer.step
+
+        def diverge_from_epoch_2(*args, epoch, **kwargs):
+            if epoch >= 2:  # after validations that improved the best MAP
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch, 0)
+            return real(*args, epoch=epoch, **kwargs)
+
+        monkeypatch.setattr(cli_module.trainer, "step", diverge_from_epoch_2)
+        out = tmp_path / "model"
+        assert main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)]) == 4
+        assert list(out.rglob("*")) == []
 
 
 def test_usage_error_exit_code():

@@ -75,7 +75,7 @@ def test_weight_log_counter_reads_the_written_file_size(tmp_path):
     train_ds, val_ds, _ = split(dataset, 0.6, 0.2, 4)
     config = trainer.TrainConfig(code_length=8, hidden_dim=8, batch_size=16, warmup_epochs=1,
                                  max_epochs=3, seed=4)
-    report = trainer.train(train_ds, val_ds, config, tmp_path)
+    report = trainer.train(train_ds, val_ds, config)
     path = tmp_path / "weights.csv"
     write(report, train_ds, path)
     assert recorder.counters == {f"{name}.bytes": path.stat().st_size}

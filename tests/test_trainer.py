@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import NestedOptimizer
+import sphash.fileio as fileio
+import sphash.trainer as trainer_module
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
-from sphash.encoder import encode, init_centers, init_params
+from sphash.encoder import init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
-from sphash.fileio import WEIGHT_LOG_COLUMNS, load_checkpoint, read_weight_log, write_csv
+from sphash.fileio import WEIGHT_LOG_COLUMNS, read_weight_log, save_checkpoint, write_csv
 from sphash.losses import LossConfig
 from sphash.pacer import PaceSchedule, SampleWeights, refresh_weights
 from sphash.seeding import stable_seed
@@ -194,9 +196,9 @@ class TestStep:
 
 
 class TestTrainLoop:
-    def test_phase_switch_exactly_at_warmup(self, tmp_path):
+    def test_phase_switch_exactly_at_warmup(self):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(), tmp_path)
+        report = train(tr, va, tiny_config())
         phases = [rec.phase for rec in report.records]
         assert phases == [WARMUP] * 2 + [SELFPACED] * 3
         for rec in report.records:
@@ -205,9 +207,9 @@ class TestTrainLoop:
             else:
                 assert rec.gamma is not None and rec.zero_weight_count is not None
 
-    def test_history_row_i_is_epoch_warmup_plus_i(self, tmp_path):
+    def test_history_row_i_is_epoch_warmup_plus_i(self):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(), tmp_path)
+        report = train(tr, va, tiny_config())
         assert report.instance_losses.shape == report.weights.shape == (3, tr.n)
         for rec, losses, weights in zip(report.records[2:], report.instance_losses, report.weights):
             assert (refresh_weights(losses, rec.gamma).values == weights).all()
@@ -215,68 +217,86 @@ class TestTrainLoop:
 
     def test_deterministic_reports_and_checkpoints(self, tmp_path):
         tr, va, _ = tiny_splits()
-        r1 = train(tr, va, tiny_config(), tmp_path / "a")
-        r2 = train(tr, va, tiny_config(), tmp_path / "b")
+        r1 = train(tr, va, tiny_config())
+        r2 = train(tr, va, tiny_config())
         assert r1.records == r2.records
         assert r1.best_epoch == r2.best_epoch
-        assert (tmp_path / "a/checkpoint.bin").read_bytes() == (
-            tmp_path / "b/checkpoint.bin"
-        ).read_bytes()
+        for name, report in (("a.bin", r1), ("b.bin", r2)):
+            save_checkpoint(report.best_params, report.centers, tmp_path / name)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
-    def test_no_spl_variant_keeps_unit_weights(self, tmp_path):
+    def test_train_writes_no_file(self, monkeypatch):
+        def refuse(path, chunks):
+            raise AssertionError(f"train wrote {path}")
+
+        monkeypatch.setattr(fileio, "atomic_write", refuse)
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(variant="no_spl"), tmp_path)
+        assert train(tr, va, tiny_config()).best_epoch >= 0
+
+    def test_no_spl_variant_keeps_unit_weights(self):
+        tr, va, _ = tiny_splits()
+        report = train(tr, va, tiny_config(variant="no_spl"))
         for rec in report.records:
             if rec.phase == SELFPACED:
                 assert rec.zero_weight_count == 0
         assert (report.weights == 1.0).all()
 
-    def test_no_chl_variant_never_evaluates_contrastive(self, tmp_path):
+    def test_no_chl_variant_never_evaluates_contrastive(self):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(variant="no_chl"), tmp_path)
+        report = train(tr, va, tiny_config(variant="no_chl"))
         assert all(rec.loss_contrastive is None for rec in report.records)
 
-    def test_no_warmup_variant_starts_selfpaced(self, tmp_path):
+    def test_no_warmup_variant_starts_selfpaced(self):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(variant="no_warmup"), tmp_path)
+        report = train(tr, va, tiny_config(variant="no_warmup"))
         assert report.records[0].phase == SELFPACED
 
-    def test_gamma_override_admits_everyone(self, tmp_path):
+    def test_gamma_override_admits_everyone(self):
         tr, va, _ = tiny_splits()
         cfg = tiny_config(variant="gamma_override", pace=PaceSchedule(gamma_start=200.0))
-        report = train(tr, va, cfg, tmp_path)
+        report = train(tr, va, cfg)
         assert (report.weights > 0.9).all()
         for rec in report.records:
             if rec.phase == SELFPACED:
                 assert rec.zero_weight_count == 0
 
-    def test_binarize_weights_variant(self, tmp_path):
+    def test_binarize_weights_variant(self):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(variant="binarize_weights"), tmp_path)
+        report = train(tr, va, tiny_config(variant="binarize_weights"))
         assert set(np.unique(report.weights)).issubset({0.0, 1.0})
 
-    def test_best_checkpoint_reproduces_encoder(self, tmp_path):
-        tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(), tmp_path)
-        params, centers = load_checkpoint(report.checkpoint_path)
-        assert params.dims == tr.dims
-        codes = encode(params.modalities[0], tr.modalities[0][:4].astype(np.float64))
-        assert np.isfinite(codes).all()
-        assert report.best_epoch >= 0
-        assert 0.0 <= report.best_val_map <= 1.0
+    def test_best_params_are_the_weights_validated_at_best_epoch(self, monkeypatch):
+        validated = []  # params.flat at each validation, in epoch order
+        real = trainer_module._validation_map
 
-    def test_eval_cadence(self, tmp_path):
+        def recording(params, val_ds, clean_val):
+            validated.append(params.flat.copy())
+            return real(params, val_ds, clean_val)
+
+        monkeypatch.setattr(trainer_module, "_validation_map", recording)
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(eval_every=2, max_epochs=5), tmp_path)
+        report = train(tr, va, tiny_config(max_epochs=8, learning_rate=1e-2))
+        assert len(validated) == 8
+        assert report.best_epoch == 2  # here validation MAP peaks early, then the weights move on
+        assert validated[2].tobytes() == report.best_params.flat.tobytes()
+        assert (validated[2] != validated[-1]).any()
+        assert report.best_params.dims == tr.dims
+        assert (report.centers == init_centers(3, 8, seed=3)).all()
+        records = [rec for rec in report.records if rec.epoch == report.best_epoch]
+        assert report.best_val_map == 0.5 * (records[0].val_map_i2t + records[0].val_map_t2i)
+
+    def test_eval_cadence(self):
+        tr, va, _ = tiny_splits()
+        report = train(tr, va, tiny_config(eval_every=2, max_epochs=5))
         evaluated = [rec.epoch for rec in report.records if rec.val_map_i2t is not None]
         assert evaluated == [0, 2, 4]
 
-    def test_linear_ramp_gamma_recorded(self, tmp_path):
+    def test_linear_ramp_gamma_recorded(self):
         tr, va, _ = tiny_splits()
         cfg = tiny_config(
             pace=PaceSchedule(gamma_start=0.5, gamma_end=1.0, ramp_epochs=2)
         )
-        report = train(tr, va, cfg, tmp_path)
+        report = train(tr, va, cfg)
         gammas = [rec.gamma for rec in report.records if rec.phase == SELFPACED]
         assert gammas == [0.5, 0.75, 1.0]
 
@@ -284,7 +304,7 @@ class TestTrainLoop:
 class TestReportFiles:
     def test_report_csv_shape(self, tmp_path):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(), tmp_path)
+        report = train(tr, va, tiny_config())
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -297,7 +317,7 @@ class TestReportFiles:
 
     def test_weight_log_csv(self, tmp_path):
         tr, va, _ = tiny_splits()
-        report = train(tr, va, tiny_config(), tmp_path)
+        report = train(tr, va, tiny_config())
         path = tmp_path / "weights.csv"
         write_weight_log_csv(report, tr, path)
         lines = path.read_text().strip().splitlines()
@@ -316,7 +336,8 @@ class TestReportFiles:
         epochs = (2, 3, 4)  # tiny_config's warm-up is 2 of 5 epochs
         history = [np.array([np.resize(np.roll(values, epoch), tr.n) for epoch in epochs])
                    for values in (losses, edges)]
-        report = TrainReport(tiny_config(), [], *history, 0, 0.0, tmp_path / "checkpoint.bin")
+        params, centers, _, _ = step_inputs()
+        report = TrainReport(tiny_config(), [], *history, 0, 0.0, params, centers)
         path, reference = tmp_path / "weights.csv", tmp_path / "reference.csv"
         write_weight_log_csv(report, tr, path)
         write_csv(reference, WEIGHT_LOG_COLUMNS, [
