@@ -14,6 +14,8 @@ encoder; gradients and optimizer moments share the layout.
 
 ``forward`` returns the hidden activations along with the relaxed codes, and
 ``backward`` takes them back, so a training step evaluates each layer once.
+Both write into caller-supplied arrays when given them, so a training loop
+can run every step in one preallocated workspace.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ShapeError
 from .seeding import spawn_rng
+
+
+def carve(vector: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive row-major views of the leading elements of a 1-d vector."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 @dataclass
@@ -65,15 +77,8 @@ class HashEncoderParams:
     def modalities(self) -> list[ModalityParams]:
         """Per-modality w1, b1, w2, b2 views into flat, in layout order."""
         h, l = self.hidden_dim, self.code_length
-        mods, offset = [], 0
-        for d in self.dims:
-            views = []
-            for shape in ((d, h), (h,), (h, l), (l,)):
-                size = math.prod(shape)
-                views.append(self.flat[offset : offset + size].reshape(shape))
-                offset += size
-            mods.append(ModalityParams(*views))
-        return mods
+        views = carve(self.flat, *[s for d in self.dims for s in ((d, h), (h,), (h, l), (l,))])
+        return [ModalityParams(*views[i : i + 4]) for i in range(0, len(views), 4)]
 
 
 def init_params(dims, hidden_dim: int, code_length: int, seed: int) -> HashEncoderParams:
@@ -94,13 +99,29 @@ def init_params(dims, hidden_dim: int, code_length: int, seed: int) -> HashEncod
     return params
 
 
-def forward(mod: ModalityParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden, codes): hidden = tanh(x W1 + b1), codes = tanh(hidden W2 + b2)."""
+def forward(
+    mod: ModalityParams, x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, codes): hidden = tanh(x W1 + b1), codes = tanh(hidden W2 + b2).
+
+    out, if given, is the (hidden, codes) pair of float64 arrays to write them
+    into; each layer is computed in place there, in the same operations as a
+    fresh result.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mod.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
-    hidden = np.tanh(x @ mod.w1 + mod.b1)
-    return hidden, np.tanh(hidden @ mod.w2 + mod.b2)
+    if out is None:
+        rows = x.shape[:-1]
+        out = np.empty(rows + mod.b1.shape), np.empty(rows + mod.b2.shape)
+    hidden, codes = out
+    np.matmul(x, mod.w1, out=hidden)
+    hidden += mod.b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, mod.w2, out=codes)
+    codes += mod.b2
+    np.tanh(codes, out=codes)
+    return hidden, codes
 
 
 def encode(mod: ModalityParams, x: np.ndarray) -> np.ndarray:
@@ -108,9 +129,14 @@ def encode(mod: ModalityParams, x: np.ndarray) -> np.ndarray:
     return forward(mod, x)[1]
 
 
+def backward_scratch_size(rows: int, hidden_dim: int, code_length: int) -> int:
+    """Float64 elements of the scratch ``backward`` needs for a batch of rows."""
+    return rows * (code_length + 2 * hidden_dim)
+
+
 def backward(
     mod: ModalityParams, x: np.ndarray, hidden: np.ndarray, codes: np.ndarray,
-    grad_codes: np.ndarray,
+    grad_codes: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of sum(grad_codes * codes) w.r.t. one modality's weights.
 
@@ -118,23 +144,39 @@ def backward(
     the upstream gradient of the loss with respect to the relaxed codes. The
     chain rule runs through both tanh layers. The result is one vector laid
     out like this modality's block of the flat weights: w1, b1, w2, b2.
+
+    out, if given, is that vector to write into, and scratch a float64 vector
+    of at least ``backward_scratch_size`` elements for the intermediates;
+    without them both are allocated. No input is modified.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     grad_codes = np.atleast_2d(np.asarray(grad_codes, dtype=np.float64))
     if x.shape[-1] != mod.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
-    rows = x.shape[0]
+    rows, (d, h), l = x.shape[0], mod.w1.shape, mod.w2.shape[1]
     got = (hidden.shape, codes.shape, grad_codes.shape)
-    want = ((rows, mod.w1.shape[1]), (rows, mod.w2.shape[1]), (rows, mod.w2.shape[1]))
+    want = ((rows, h), (rows, l), (rows, l))
     if got != want:
         raise ShapeError(f"hidden, codes and grad shapes {got} != {want}")
+    if out is None:
+        out = np.empty(flat_size((d,), h, l))
+    if scratch is None:
+        scratch = np.empty(backward_scratch_size(rows, h, l))
+    dz2, dz1, factor = carve(scratch, (rows, l), (rows, h), (rows, h))
+    grad_w1, grad_b1, grad_w2, grad_b2 = carve(out, (d, h), (h,), (h, l), (l,))
 
-    dz2 = grad_codes * (1.0 - codes**2)
-    dhidden = dz2 @ mod.w2.T
-    dz1 = dhidden * (1.0 - hidden**2)
-    return np.concatenate(
-        [(x.T @ dz1).ravel(), dz1.sum(axis=0), (hidden.T @ dz2).ravel(), dz2.sum(axis=0)]
-    )
+    np.square(codes, out=dz2)  # dz2 = grad_codes * (1 - codes**2)
+    np.subtract(1.0, dz2, out=dz2)
+    np.multiply(grad_codes, dz2, out=dz2)
+    np.matmul(dz2, mod.w2.T, out=dz1)  # dz1 = (dz2 W2^T) * (1 - hidden**2)
+    np.square(hidden, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    np.multiply(dz1, factor, out=dz1)
+    np.matmul(x.T, dz1, out=grad_w1)
+    np.sum(dz1, axis=0, out=grad_b1)
+    np.matmul(hidden.T, dz2, out=grad_w2)
+    np.sum(dz2, axis=0, out=grad_b2)
+    return out
 
 
 def binarize(codes: np.ndarray) -> np.ndarray:

@@ -48,3 +48,7 @@ class TrainingDivergedError(SphashError, ArithmeticError):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, which hold the message alone
+        return type(self), (self.args[0], self.epoch, self.batch)

@@ -9,11 +9,12 @@ shared-class count is a float32 matrix product per query chunk, exact for any
 class count below 2**24. MAP is computed over the full gallery ranking;
 queries with no relevant item score 0 and are counted in the mean. Per-query
 results combine in fixed index order, keeping MAP bit-identical across runs.
-Each task ranks its gallery once; MAP and the PR curve both read that ranking,
-and both read only its relevant ranks (``kernels.ranked_precision``). A PR
-curve needs no more: recall first reaches a level at a relevant rank, and
-precision after a rank peaks at a relevant one, so the curve is the one a scan
-of every rank gives, bit for bit.
+Each task ranks its gallery once, one query chunk at a time, and keeps the
+ranking bit-packed: Q * ceil(G/8) bytes. MAP and the PR curve both read it one
+unpacked chunk at a time, and both read only its relevant ranks
+(``kernels.ranked_precision``). A PR curve needs no more: recall first reaches
+a level at a relevant rank, and precision after a rank peaks at a relevant one,
+so the curve is the one a scan of every rank gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,20 +54,40 @@ class RetrievalTask:
             raise ShapeError("gallery labels do not match gallery codes")
 
     @cached_property
-    def ranked_relevance(self) -> np.ndarray:
-        """(Q, G) bool, share at least one class, in rank order; computed once per task."""
+    def packed_ranking(self) -> np.ndarray:
+        """(Q, ceil(G/8)) uint8: each query's relevance in rank order, bit-packed
+        (``np.packbits``); computed once per task, one query chunk at a time."""
+        query_words = kernels.pack_signs(self.query_codes)
+        gallery_words = kernels.pack_signs(self.gallery_codes)
         query_labels = self.query_labels.astype(np.float32)
         gallery_labels = self.gallery_labels.astype(np.float32).T
-        distances = pairwise_hamming(self.query_codes, self.gallery_codes)
-        ranked = np.empty(distances.shape, dtype=bool)
-        for start in range(0, len(ranked), kernels.QUERY_CHUNK):
+        packed = np.empty((len(query_words), (len(gallery_words) + 7) // 8), dtype=np.uint8)
+        for start in range(0, len(packed), kernels.QUERY_CHUNK):
             rows = slice(start, start + kernels.QUERY_CHUNK)
-            relevance = query_labels[rows] @ gallery_labels >= 1  # BLAS; exact in float32
-            order = np.argsort(distances[rows], axis=1, kind="stable")  # radix sort on narrow keys
-            order += np.arange(0, order.size, order.shape[1])[:, None]  # flat index into the chunk
-            ranked[rows] = relevance.ravel().take(order)
-        ranked.flags.writeable = False  # shared by every metric of this task
-        return ranked
+            ranked = _ranked_chunk(query_words[rows], gallery_words, query_labels[rows],
+                                   gallery_labels)
+            packed[rows] = np.packbits(ranked, axis=1)
+        packed.flags.writeable = False  # shared by every metric of this task
+        return packed
+
+    def ranked_relevance(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """(rows, G) bool relevance in rank order of queries start..stop, unpacked."""
+        n_gallery = self.gallery_codes.shape[0]
+        return np.unpackbits(self.packed_ranking[start:stop], axis=1, count=n_gallery).view(bool)
+
+
+def _ranked_chunk(query_words, gallery_words, query_labels, gallery_labels) -> np.ndarray:
+    """(rows, G) bool relevance of a query chunk in rank order.
+
+    A function of its own so that its (rows, G) temporaries are freed before
+    the next chunk's are made.
+    """
+    distances = kernels.pairwise_hamming_packed(query_words, gallery_words)
+    relevance = query_labels @ gallery_labels >= 1  # BLAS; exact in float32
+    order = np.argsort(distances, axis=1, kind="stable")  # radix sort on narrow keys
+    del distances
+    order += np.arange(0, order.size, order.shape[1])[:, None]  # flat index into the chunk
+    return relevance.ravel().take(order)
 
 
 def pairwise_hamming(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
@@ -98,8 +119,12 @@ def cross_modal_tasks(
 
 def mean_average_precision(task: RetrievalTask) -> float:
     """MAP over the full gallery ranking."""
-    scores = kernels.ap_scores(task.ranked_relevance)
-    return float(np.cumsum(scores)[-1]) / len(scores)  # adds in fixed index order: bit-stable
+    n_query = task.query_codes.shape[0]
+    scores = np.empty(n_query)
+    for start in range(0, n_query, kernels.QUERY_CHUNK):
+        stop = start + kernels.QUERY_CHUNK
+        scores[start:stop] = kernels.ap_scores(task.ranked_relevance(start, stop))
+    return float(np.cumsum(scores)[-1]) / n_query  # adds in fixed index order: bit-stable
 
 
 @dataclass(frozen=True)
@@ -117,12 +142,13 @@ def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
     """
     if num_points < 2:
         raise ParameterError(f"num_points={num_points} must be >= 2")
-    ranked = task.ranked_relevance
+    n_query = task.query_codes.shape[0]
     levels = np.linspace(0.0, 1.0, num_points)
 
     precision_sum = np.zeros(num_points)
-    for start in range(0, len(ranked), kernels.QUERY_CHUNK):
-        counts, precision = kernels.ranked_precision(ranked[start:start + kernels.QUERY_CHUNK])
+    for start in range(0, n_query, kernels.QUERY_CHUNK):
+        block = task.ranked_relevance(start, start + kernels.QUERY_CHUNK)
+        counts, precision = kernels.ranked_precision(block)
         # the best precision from the j-th relevant rank on, attained at a relevant rank
         best_from = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
         for best, total in zip(best_from, counts):
@@ -131,7 +157,7 @@ def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
             # recall first reaches each level at the relevant rank found here
             at = np.searchsorted(np.arange(1, total + 1) / total, levels, side="left")
             precision_sum += best[at]
-    mean_precision = precision_sum / ranked.shape[0]
+    mean_precision = precision_sum / n_query
     return [CurvePoint(float(x), float(y)) for x, y in zip(levels, mean_precision)]
 
 

@@ -104,38 +104,97 @@ def gce_grad(probs: np.ndarray, r: float) -> np.ndarray:
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax of each row, computed in place in logits (which it returns)."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def _instance_softmax(batch: BatchCodes, cfg: LossConfig):
+@dataclass
+class LossBuffers:
+    """The arrays one mini-batch's objective is computed in: M modalities, B rows, L bits.
+
+    ``codes`` holds the batch's codes, modality m in rows m*B..(m+1)*B, and a
+    BatchCodes passed with these buffers must hold exactly those row blocks.
+    ``total_loss`` leaves the objective's code gradients in ``grads``, laid out
+    the same way; the other three are the contrastive term's.
+    """
+
+    codes: np.ndarray        # (M*B, L)
+    grads: np.ndarray        # (M*B, L)
+    contrastive: np.ndarray  # (M*B, L), the contrastive term's code gradients
+    softmax: np.ndarray      # (M*B, M*B), then the gradient of the logits
+    symmetric: np.ndarray    # (M*B, M*B)
+
+    @staticmethod
+    def shapes(n_modalities: int, batch_size: int, code_length: int) -> tuple:
+        """The fields' shapes, in field order."""
+        rows = n_modalities * batch_size
+        return ((rows, code_length),) * 3 + ((rows, rows),) * 2
+
+    @classmethod
+    def for_batch(cls, batch: BatchCodes) -> LossBuffers:
+        """Fresh buffers with the batch's codes copied in."""
+        shapes = cls.shapes(batch.n_modalities, batch.batch_size, batch.codes[0].shape[1])
+        buffers = cls(*(np.empty(shape) for shape in shapes))
+        np.concatenate(batch.codes, out=buffers.codes)
+        return buffers
+
+
+def _positives(n_rows: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of each stacked row's same-instance columns, shape (M*B, M).
+
+    Row m*B + i matches columns m'*B + i for every modality m'.
+    """
+    rows = np.arange(n_rows)[:, None]
+    return rows, rows % batch_size + np.arange(0, n_rows, batch_size)
+
+
+def _instance_softmax(batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers | None = None):
     """Shared contrastive quantities.
 
-    Returns (P, pos, q): the (MB, MB) softmax over all anchor/target code
-    pairs, the boolean mask of same-instance targets, and per-anchor match
-    probabilities q = sum of P over the positive targets.
+    Returns (P, q): the (MB, MB) softmax over all anchor/target code pairs, in
+    buffers.softmax, and per-anchor match probabilities q = the sum of P over
+    the anchor's same-instance targets. With two modalities that is
+    p[i, i] + p[i, (i + B) mod 2B], bit-equal to a row sum of P masked to
+    those targets: every other term of that sum is an exact 0.0.
     """
-    b = batch.batch_size
-    stacked = np.vstack(batch.codes)  # row m*B + i
-    p = _row_softmax(stacked @ stacked.T / cfg.tau)
-    instance = np.tile(np.arange(b), batch.n_modalities)
-    pos = instance[:, None] == instance[None, :]
-    q = np.clip((p * pos).sum(axis=1), 0.0, 1.0)
-    return p, pos, q
+    if buffers is None:
+        buffers = LossBuffers.for_batch(batch)
+    p = np.matmul(buffers.codes, buffers.codes.T, out=buffers.softmax)
+    p /= cfg.tau
+    _row_softmax(p)
+    q = np.clip(p[_positives(len(p), batch.batch_size)].sum(axis=1), 0.0, 1.0)
+    return p, q
 
 
-def chl_loss(batch: BatchCodes, cfg: LossConfig) -> tuple[float, list[np.ndarray]]:
-    """Contrastive value and its gradients w.r.t. every modality's codes."""
+def chl_loss(
+    batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers | None = None
+) -> tuple[float, list[np.ndarray]]:
+    """Contrastive value and its gradients w.r.t. every modality's codes.
+
+    With buffers, every (MB, MB) and (MB, L) array is written there and the
+    gradients are views of buffers.contrastive; without, fresh ones are made.
+    """
+    if buffers is None:
+        buffers = LossBuffers.for_batch(batch)
     b = batch.batch_size
-    p, pos, q = _instance_softmax(batch, cfg)
+    p, q = _instance_softmax(batch, cfg, buffers)
     value = float(gce_terms(q, cfg.r).sum() / b)
 
+    # g = coeff * p * (positive - q), entry by entry in that order: (coeff p)(0.0 - q)
+    # everywhere, then (coeff p)(1 - q) at the positives
     coeff = gce_grad(q, cfg.r) / b
-    g = coeff[:, None] * p * (pos - q[:, None])
-    grad_stacked = (g + g.T) @ np.vstack(batch.codes) / cfg.tau
-    grads = [grad_stacked[m * b : (m + 1) * b] for m in range(batch.n_modalities)]
-    return value, grads
+    positives = _positives(len(p), b)
+    p *= coeff[:, None]
+    at_positives = p[positives]
+    p *= (0.0 - q)[:, None]  # not -q: keeps the sign of a zero
+    p[positives] = at_positives * (1.0 - q)[:, None]
+    g_sym = np.add(p, p.T, out=buffers.symmetric)
+    grad_stacked = np.matmul(g_sym, buffers.codes, out=buffers.contrastive)
+    grad_stacked /= cfg.tau
+    return value, [grad_stacked[m * b : (m + 1) * b] for m in range(batch.n_modalities)]
 
 
 def center_probs(codes: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
@@ -164,41 +223,53 @@ def per_instance_loss(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig) -
 
 
 def _weighted_center_loss(
-    batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, scale: np.ndarray
+    batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, scale: np.ndarray,
+    out: np.ndarray | None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Value and code gradients of (1/B) sum_i scale_i * loss_i."""
+    """Value and code gradients of (1/B) sum_i scale_i * loss_i.
+
+    The gradients are written into out, an (M*B, L) array laid out like
+    ``LossBuffers.grads`` (a fresh one when None), and returned as its row blocks.
+    """
     b = batch.batch_size
     probs, labels, v = _aggregation_matrix(batch, centers, cfg)
     value = float((scale * gce_terms(v, cfg.r).sum(axis=1)).sum() / b)
 
     centers_f = np.asarray(centers, dtype=np.float64)
+    if out is None:
+        out = np.empty((batch.n_modalities * b, centers_f.shape[1]))
     grads = []
     for m, p in enumerate(probs):
         coeff = (scale * gce_grad(v[:, m], cfg.r)) / b
         d_logits = coeff[:, None] * p * (labels - v[:, m][:, None])
-        grads.append(d_logits @ centers_f / cfg.tau)
+        grad = np.matmul(d_logits, centers_f, out=out[m * b : (m + 1) * b])
+        grad /= cfg.tau
+        grads.append(grad)
     return value, grads
 
 
-def cal_loss(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig) -> tuple[float, list[np.ndarray]]:
-    """Center aggregation loss: mean of per-instance losses, with gradients."""
-    return _weighted_center_loss(batch, centers, cfg, np.ones(batch.batch_size))
+def cal_loss(
+    batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, out: np.ndarray | None = None
+) -> tuple[float, list[np.ndarray]]:
+    """Center aggregation loss: mean of per-instance losses, with gradients (written to out)."""
+    return _weighted_center_loss(batch, centers, cfg, np.ones(batch.batch_size), out)
 
 
 def nsh_loss(
-    batch: BatchCodes, centers: np.ndarray, weights: SampleWeights, cfg: LossConfig
+    batch: BatchCodes, centers: np.ndarray, weights: SampleWeights, cfg: LossConfig,
+    out: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Self-paced loss: weighted center criterion plus the pace regularizer.
 
     Weights are constants during backprop, so the gradient is exactly the
-    weight-scaled center-aggregation gradient.
+    weight-scaled center-aggregation gradient (written to out).
     """
     w = np.asarray(weights.values, dtype=np.float64)
     if w.shape != (batch.batch_size,):
         raise ShapeError(f"{w.shape[0]} weights for batch of {batch.batch_size}")
     if w.size and (w.min() < 0 or w.max() > 1):
         raise ParameterError("sample weights must lie in [0, 1]")
-    value, grads = _weighted_center_loss(batch, centers, cfg, w)
+    value, grads = _weighted_center_loss(batch, centers, cfg, w, out)
     penalty = weights.gamma * (0.5 * w * w - w).sum() / batch.batch_size
     return value + float(penalty), grads
 
@@ -208,6 +279,7 @@ def total_loss(
     centers: np.ndarray,
     weights: SampleWeights | None,
     cfg: LossConfig,
+    buffers: LossBuffers | None = None,
 ) -> tuple[float, float | None, list[np.ndarray]]:
     """Parts of one step's objective, center + alpha * contrastive.
 
@@ -215,14 +287,18 @@ def total_loss(
     criterion in warm-up (no weights) and its weighted form with the pace
     regularizer otherwise. The contrastive term is None at alpha = 0, where
     it is never evaluated. grads are the code gradients of the whole
-    objective.
+    objective: the row blocks of buffers.grads (fresh buffers when None).
     """
+    if buffers is None:
+        buffers = LossBuffers.for_batch(batch)
     if weights is None:
-        center, grads = cal_loss(batch, centers, cfg)
+        center, grads = cal_loss(batch, centers, cfg, buffers.grads)
     else:
-        center, grads = nsh_loss(batch, centers, weights, cfg)
+        center, grads = nsh_loss(batch, centers, weights, cfg, buffers.grads)
 
     if not cfg.alpha > 0:
         return center, None, grads
-    contrastive, c_grads = chl_loss(batch, cfg)
-    return center, contrastive, [g + cfg.alpha * cg for g, cg in zip(grads, c_grads)]
+    contrastive, _ = chl_loss(batch, cfg, buffers)
+    buffers.contrastive *= cfg.alpha  # grads + alpha * contrastive grads
+    buffers.grads += buffers.contrastive
+    return center, contrastive, grads

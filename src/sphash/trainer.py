@@ -15,6 +15,9 @@ A mini-batch step runs every encoder forward once, takes the objective's
 parts and code gradients from ``losses.total_loss``, runs
 backward through the stored activations, and applies one elementwise SGD or
 adaptive-moments update to the flat weight vector (layout in ``encoder``).
+Every step and weight refresh of a run writes into one workspace allocated
+before the first epoch, so the thousands of steps of a run allocate no
+array that scales with the batch, the chunk or the weights.
 
 Variants (ablations and robustness probes):
   full             the complete method
@@ -41,15 +44,18 @@ from .data import MultiModalDataset
 from .encoder import (
     HashEncoderParams,
     backward,
+    backward_scratch_size,
     binarize,
+    carve,
     encode,
+    flat_size,
     forward,
     init_centers,
     init_params,
 )
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .fileio import write_csv, write_weight_log
-from .losses import BatchCodes, LossConfig
+from .losses import BatchCodes, LossBuffers, LossConfig
 from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
 
@@ -160,19 +166,95 @@ class _OptimizerState:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
 
-    def apply(self, params: HashEncoderParams, grad: np.ndarray, lr: float) -> None:
-        """One elementwise update of params.flat from a gradient of the same layout."""
+    def apply(
+        self, params: HashEncoderParams, grad: np.ndarray, lr: float,
+        scratch: np.ndarray | None = None,
+    ) -> None:
+        """One elementwise update of params.flat from a gradient of the same layout.
+
+        The two rows of scratch, shaped (2, params.flat.size) and allocated when
+        None, take the update and its denominator. They are computed by the
+        formula's operations in its order, so the result has the bits of the
+        formula evaluated with temporaries.
+        """
+        if scratch is None:
+            scratch = np.empty((2, params.flat.size))
+        update, denominator = scratch
         if self.kind == "sgd":
-            params.flat -= lr * grad
+            params.flat -= np.multiply(lr, grad, out=update)
             return
         self.step_count += 1
         correction1 = 1.0 - _ADAM_BETA1**self.step_count
         correction2 = 1.0 - _ADAM_BETA2**self.step_count
         self.m *= _ADAM_BETA1
-        self.m += (1.0 - _ADAM_BETA1) * grad
+        self.m += np.multiply(1.0 - _ADAM_BETA1, grad, out=update)
         self.v *= _ADAM_BETA2
-        self.v += (1.0 - _ADAM_BETA2) * grad * grad
-        params.flat -= lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + _ADAM_EPS)
+        np.multiply(1.0 - _ADAM_BETA2, grad, out=update)
+        self.v += np.multiply(update, grad, out=update)
+        # lr * (m / correction1) / (sqrt(v / correction2) + eps)
+        np.divide(self.m, correction1, out=update)
+        np.multiply(lr, update, out=update)
+        np.divide(self.v, correction2, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += _ADAM_EPS
+        params.flat -= np.divide(update, denominator, out=update)
+
+
+@dataclass
+class _StepViews:
+    """One step's arrays in the workspace arena, for a batch of B rows."""
+
+    inputs: list[np.ndarray]  # (B, d_m) per modality: the batch's features
+    hidden: list[np.ndarray]  # (B, hidden) per modality
+    loss: LossBuffers         # codes, code gradients and contrastive scratch
+    scratch: np.ndarray       # backward's intermediates, shared by the modalities
+
+
+class _Workspace:
+    """The memory every training step and weight refresh of a run writes into.
+
+    One float64 arena holds, in turn, a step's temporaries (``step_views``),
+    the optimizer update's scratch (``update_scratch``) and a refresh chunk's
+    activations (``refresh_views``). These phases never overlap: the update
+    runs after backward has read the last step temporary, and a refresh runs
+    between epochs. The views for fewer rows than the arena was sized for are
+    contiguous reshapes of its leading elements, so a short batch or chunk
+    touches no new memory. ``grad`` is the flat gradient, laid out like
+    ``params.flat``, one block per modality in ``grad_blocks``; it is not in
+    the arena, since the update reads it.
+    """
+
+    def __init__(self, params: HashEncoderParams, batch_rows: int, refresh_rows: int = 0):
+        self.dims, self.hidden_dim = params.dims, params.hidden_dim
+        self.code_length = params.code_length
+        update_shape = (2, params.flat.size)
+        size = max(sum(map(math.prod, self._step_shapes(batch_rows))),
+                   sum(map(math.prod, self._refresh_shapes(refresh_rows))),
+                   math.prod(update_shape))
+        self.arena = np.empty(size)
+        (self.update_scratch,) = carve(self.arena, update_shape)
+        self.grad = np.empty_like(params.flat)
+        self.grad_blocks = carve(
+            self.grad, *[(flat_size((d,), self.hidden_dim, self.code_length),) for d in self.dims]
+        )
+
+    def _step_shapes(self, rows: int) -> list[tuple]:
+        h, l, m = self.hidden_dim, self.code_length, len(self.dims)
+        return [*((rows, d) for d in self.dims), *[(rows, h)] * m,
+                *LossBuffers.shapes(m, rows, l), (backward_scratch_size(rows, h, l),)]
+
+    def _refresh_shapes(self, rows: int) -> list[tuple]:
+        return [(rows, self.hidden_dim)] + [(rows, self.code_length)] * len(self.dims)
+
+    def step_views(self, rows: int) -> _StepViews:
+        m = len(self.dims)
+        views = carve(self.arena, *self._step_shapes(rows))
+        return _StepViews(views[:m], views[m : 2 * m], LossBuffers(*views[2 * m : -1]), views[-1])
+
+    def refresh_views(self, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A chunk's hidden activations, which the modalities take in turn, and codes per modality."""
+        hidden, *codes = carve(self.arena, *self._refresh_shapes(rows))
+        return hidden, codes
 
 
 def step(
@@ -185,45 +267,64 @@ def step(
     opt_state: _OptimizerState,
     epoch: int = -1,
     batch_index: int = -1,
+    workspace: _Workspace | None = None,
 ) -> dict:
     """One optimizer step; returns the loss parts. No weights means warm-up.
 
     Each encoder runs forward once; backward reuses those activations, and
-    the modality gradients join into one vector laid out like params.flat.
+    the modality gradients fill one vector laid out like params.flat. Every
+    array that scales with the batch or the weights is one of the workspace's
+    (a fresh workspace when None), so a step allocates only small vectors.
     """
     mods = params.modalities
     if len(x_batch) != len(mods):
         raise ShapeError(f"{len(x_batch)} feature blocks for {len(mods)} encoders")
-    if y_batch.shape[0] == 0:
+    rows = y_batch.shape[0]
+    if rows == 0:
         raise ShapeError("empty batch")
+    if workspace is None:
+        workspace = _Workspace(params, rows)
+    views = workspace.step_views(rows)
 
-    acts = [forward(mod, x) for mod, x in zip(mods, x_batch)]
-    batch = BatchCodes([codes for _, codes in acts], y_batch)
-    center, contrastive, code_grads = losses.total_loss(batch, centers, weights, config.loss)
+    codes = [views.loss.codes[m * rows : (m + 1) * rows] for m in range(len(mods))]
+    for mod, x, hidden, out in zip(mods, x_batch, views.hidden, codes):
+        forward(mod, x, (hidden, out))
+    batch = BatchCodes(codes, y_batch)
+    center, contrastive, code_grads = losses.total_loss(
+        batch, centers, weights, config.loss, views.loss
+    )
     total = center if contrastive is None else center + config.loss.alpha * contrastive
     if not np.isfinite(total):
         raise TrainingDivergedError(
             f"non-finite loss {total} at epoch {epoch}, batch {batch_index}", epoch, batch_index
         )
 
-    grad = np.concatenate([
-        backward(mod, x, hidden, codes, g)
-        for mod, x, (hidden, codes), g in zip(mods, x_batch, acts, code_grads)
-    ])
-    opt_state.apply(params, grad, config.learning_rate)
+    for mod, x, hidden, out, g, grad in zip(
+        mods, x_batch, views.hidden, codes, code_grads, workspace.grad_blocks
+    ):
+        backward(mod, x, hidden, out, g, grad, views.scratch)
+    opt_state.apply(params, workspace.grad, config.learning_rate, workspace.update_scratch)
     return {"total": total, "contrastive": contrastive, "center": center}
 
 
 def _full_train_losses(
     params: HashEncoderParams, centers: np.ndarray, x_all: list[np.ndarray],
-    labels: np.ndarray, cfg: LossConfig, epoch: int,
+    labels: np.ndarray, cfg: LossConfig, epoch: int, workspace: _Workspace | None = None,
 ) -> np.ndarray:
-    """Per-instance losses over the whole training split, parameters frozen."""
+    """Per-instance losses over the whole training split, parameters frozen.
+
+    The split is encoded _REFRESH_CHUNK rows at a time into the workspace (a
+    fresh one when None).
+    """
     n = labels.shape[0]
+    if workspace is None:
+        workspace = _Workspace(params, 0, min(n, _REFRESH_CHUNK))
     out = np.empty(n)
     for start in range(0, n, _REFRESH_CHUNK):
         stop = min(start + _REFRESH_CHUNK, n)
-        codes = [encode(mod, x[start:stop]) for mod, x in zip(params.modalities, x_all)]
+        hidden, codes = workspace.refresh_views(stop - start)
+        for mod, x, mod_codes in zip(params.modalities, x_all, codes):
+            forward(mod, x[start:stop], (hidden, mod_codes))
         out[start:stop] = losses.per_instance_loss(
             BatchCodes(codes, labels[start:stop]), centers, cfg
         )
@@ -233,8 +334,15 @@ def _full_train_losses(
 
 
 def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset) -> list[np.ndarray]:
-    """Binarized codes for every modality of a dataset."""
-    return [binarize(encode(mod, x)) for mod, x in zip(params.modalities, dataset.modalities)]
+    """Binarized codes for every modality of a dataset, encoded _REFRESH_CHUNK rows at a time."""
+    out = []
+    for mod, x in zip(params.modalities, dataset.modalities):
+        codes = np.empty((len(x), params.code_length), dtype=np.int8)
+        for start in range(0, len(x), _REFRESH_CHUNK):
+            rows = slice(start, start + _REFRESH_CHUNK)
+            codes[rows] = binarize(encode(mod, x[rows]))
+        out.append(codes)
+    return out
 
 
 def _validation_map(
@@ -267,6 +375,7 @@ def train(
     x_all = [x.astype(np.float64) for x in train_ds.modalities]
     labels = train_ds.labels
     n_train = train_ds.n
+    workspace = _Workspace(params, min(config.batch_size, n_train), min(_REFRESH_CHUNK, n_train))
 
     records: list[EpochRecord] = []
     paced_losses = np.empty((config.max_epochs - config.warmup_epochs, n_train))
@@ -279,7 +388,9 @@ def train(
         if epoch >= config.warmup_epochs:
             paced = epoch - config.warmup_epochs
             gamma = pacer.gamma_at(config.pace, paced)
-            paced_losses[paced] = _full_train_losses(params, centers, x_all, labels, config.loss, epoch)
+            paced_losses[paced] = _full_train_losses(
+                params, centers, x_all, labels, config.loss, epoch, workspace
+            )
             weights_all = pacer.refresh_weights(paced_losses[paced], gamma)
             if config.variant == "no_spl":
                 weights_all = SampleWeights(np.ones(n_train), gamma)
@@ -295,16 +406,21 @@ def train(
             w_slice = None
             if weights_all is not None:
                 w_slice = SampleWeights(weights_all.values[rows], weights_all.gamma)
+            x_batch = workspace.step_views(len(rows)).inputs
+            for x, batch_x in zip(x_all, x_batch):
+                # rows are in range (a permutation); mode="raise" would copy through a buffer
+                np.take(x, rows, axis=0, out=batch_x, mode="clip")
             parts = step(
                 params,
                 centers,
-                [x[rows] for x in x_all],
+                x_batch,
                 labels[rows],
                 w_slice,
                 config,
                 opt_state,
                 epoch=epoch,
                 batch_index=batch_index,
+                workspace=workspace,
             )
             sums["total"] += parts["total"] * len(rows)
             sums["center"] += parts["center"] * len(rows)

@@ -128,6 +128,11 @@ def max_relative_error(analytic, numeric) -> float:
     return worst
 
 
+def encode_reference(mod, x):
+    """Relaxed codes by the formula, one fresh array per operation."""
+    return np.tanh(np.tanh(np.asarray(x, dtype=np.float64) @ mod.w1 + mod.b1) @ mod.w2 + mod.b2)
+
+
 class NestedOptimizer:
     """SGD / adaptive moments with one moment array per parameter array.
 

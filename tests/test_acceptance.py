@@ -226,7 +226,7 @@ def test_criterion_4_probability_normalization_and_stability():
         probs = losses.center_probs(np.vstack(codes), centers, cfg.tau)
         finite &= bool(np.isfinite(probs).all())
         worst_center = max(worst_center, float(np.abs(probs.sum(axis=1) - 1.0).max()))
-        softmax, _, q = losses._instance_softmax(batch, cfg)
+        softmax, q = losses._instance_softmax(batch, cfg)
         finite &= bool(np.isfinite(softmax).all() and np.isfinite(q).all())
         worst_instance = max(worst_instance, float(np.abs(softmax.sum(axis=1) - 1.0).max()))
     report(

@@ -103,7 +103,7 @@ def gallery_order(query, gallery):
     n = len(gallery)
     labels = np.eye(n, dtype=np.uint8)
     task = RetrievalTask(np.repeat(query[None, :], n, axis=0), labels, gallery, labels)
-    return np.argsort(task.ranked_relevance.argmax(axis=1))
+    return np.argsort(task.ranked_relevance().argmax(axis=1))
 
 
 class TestHammingDistance:
@@ -182,8 +182,8 @@ class TestRankGallery:
         expected = ranked_relevance_reference(
             task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
         )
-        assert task.ranked_relevance.dtype == bool
-        assert np.array_equal(task.ranked_relevance, expected)
+        assert task.ranked_relevance().dtype == bool
+        assert np.array_equal(task.ranked_relevance(), expected)
 
     def test_matches_stable_int64_oracle_over_many_query_rows(self):
         rng = np.random.default_rng(16)
@@ -191,7 +191,7 @@ class TestRankGallery:
         expected = ranked_relevance_reference(
             task.query_codes, task.query_labels, task.gallery_codes, task.gallery_labels
         )
-        assert np.array_equal(task.ranked_relevance, expected)
+        assert np.array_equal(task.ranked_relevance(), expected)
 
     def test_output_is_permutation(self):
         rng = np.random.default_rng(2)
@@ -210,10 +210,10 @@ class TestRankOnce:
             return real(query_words, gallery_words)
 
         monkeypatch.setattr(kernels, "pairwise_hamming_packed", counting)
-        task = random_task(np.random.default_rng(14))
+        task = random_task(np.random.default_rng(14), n_query=150)
         mean_average_precision(task)
         pr_curve(task, 5)
-        assert len(calls) == 1
+        assert len(calls) == 3  # one Hamming call per 64-query chunk, for both metrics
 
     def test_ranking_peaks_below_a_dense_float32_relevance(self):
         # relevance is computed one query chunk at a time, never as a (Q, G) float32 matrix
@@ -222,11 +222,28 @@ class TestRankOnce:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            task.ranked_relevance
+            task.packed_ranking
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * n * 4
+
+    def test_map_and_pr_curve_peak_below_8_mb(self):
+        # the ranking is kept bit-packed (1.75 MB here) and built, then read, one
+        # 64-query chunk at a time: no (Q, G) matrix is ever alive
+        rng = np.random.default_rng(18)
+        task = random_task(rng, n_query=2000, n_gallery=7000, length=128, k=8)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            mean_average_precision(task)
+            pr_curve(task, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert task.packed_ranking.shape == (2000, 875)
+        assert peak - before < 8_000_000
 
     def test_cross_modal_directions(self):
         rng = np.random.default_rng(15)
@@ -372,7 +389,7 @@ class TestPrCurve:
     @given(rel=ragged_relevance(), num_points=st.sampled_from([2, 3, 21, 10001]))
     def test_matches_dense_oracle_bit_for_bit(self, rel, num_points):
         task = task_ranked_as(rel)
-        assert np.array_equal(task.ranked_relevance, rel)
+        assert np.array_equal(task.ranked_relevance(), rel)
         points = pr_curve(task, num_points)
         assert [(p.x, p.y) for p in points] == naive_pr_curve(rel, num_points)
 

@@ -39,7 +39,7 @@ def random_batch(rng, b=4, m=2, length=5, k=3, scale=0.95):
 
 def instance_prob(batch, i, m, cfg):
     """q of modality m's code of instance i, as chl_loss reads it from the softmax."""
-    _, _, q = _instance_softmax(batch, cfg)
+    _, q = _instance_softmax(batch, cfg)
     return float(q[m * batch.batch_size + i])
 
 
@@ -118,7 +118,7 @@ class TestInstanceProb:
     def test_softmax_components_sum_to_one(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, b=5, m=3, length=4)
-        p, _, q = _instance_softmax(batch, LossConfig())
+        p, q = _instance_softmax(batch, LossConfig())
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-6
         assert (q > 0).all() and (q <= 1).all()
 

@@ -4,12 +4,16 @@
 find as missing instead of failing, and its counters swallow a missing
 parameter or attribute. So a rename would silently drop that layer's
 metrics. These tests load the tracer by path and check what it relies on,
-without installing it.
+mostly without installing it; one runs it on small commands and checks the
+call counts of every training run as ``perfbench/run.py --trace 1`` does.
 """
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,9 @@ import numpy as np
 from sphash import pacer, trainer
 from sphash.data import SynthSpec, generate_synthetic, split
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+RUN_PATH = ROOT / "perfbench" / "run.py"
 
 # parameters each of the tracer's counters reads from its call's bound arguments;
 # write_dataset's counter reads the returned path, refresh_weights' the result
@@ -31,11 +37,15 @@ BOUND_PARAMETERS = {
 }
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_by_path("perfbench_tracer", TRACER_PATH)
 
 
 def entry_point(qualified: str):
@@ -80,3 +90,39 @@ def test_weight_log_counter_reads_the_written_file_size(tmp_path):
     write(report, train_ds, path)
     assert recorder.counters == {f"{name}.bytes": path.stat().st_size}
     assert path.stat().st_size > 0
+
+
+def test_traced_training_runs_make_the_expected_calls(tmp_path):
+    # a step that stops calling encoder.backward, or a refresh that stops calling
+    # pacer.refresh_weights, fails here and not only under perfbench's --trace 1
+    run = load_by_path("perfbench_run", RUN_PATH)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    n, epochs, warmup, seed = 300, 3, 1, 3
+    synth = ["--n", str(n), "--k", "4", "--dims", "6,5",
+             "--train-frac", str(run.TRAIN_FRAC), "--val-frac", str(run.VAL_FRAC)]
+    training = ["--hidden", "16", "--batch-size", str(run.BATCH), "--epochs", str(epochs),
+                "--warmup", str(warmup), "--seed", str(seed)]
+    grid = {"noise_rates": (0.4,), "bits": (8,), "variants": ("full", "no_chl")}
+
+    def sphash(*argv, trace=None):
+        prefix = [str(TRACER_PATH), str(trace)] if trace else ["-m", "sphash.cli"]
+        subprocess.run([sys.executable, *prefix, *argv], check=True, env=env, cwd=tmp_path,
+                       stdout=subprocess.DEVNULL)
+        return run.load_trace(trace) if trace else None
+
+    sphash("gen-data", *synth, "--noise-rate", "0.4", "--seed", str(seed),
+           "--out", str(tmp_path / "data"))
+    traces = {
+        "train": sphash("train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "m"),
+                        "--bits", "8", *training, trace=tmp_path / "train.json"),
+        "sweep": sphash("sweep", "--out", str(tmp_path / "s"), "--noise-rates", "0.4",
+                        "--bits", "8", "--variants", "full,no_chl", *synth, *training,
+                        trace=tmp_path / "sweep.json"),
+    }
+    variants = {"train": ["full"], "sweep": [variant for _, _, variant in run._grid(grid)]}
+    for kind, trace in traces.items():
+        assert trace["missing"] == []
+        assert len(trace["per_train"]) == len(variants[kind])
+        for seen, variant in zip(trace["per_train"], variants[kind]):
+            want = run.expected_train_counts(n, epochs, warmup, variant)
+            assert {name: seen.get(name, 0) for name in want} == want, (kind, variant)

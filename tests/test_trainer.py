@@ -1,16 +1,18 @@
 import copy
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import NestedOptimizer
+from oracles import NestedOptimizer, encode_reference
 import sphash.fileio as fileio
 import sphash.trainer as trainer_module
 from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
 from sphash.fileio import WEIGHT_LOG_COLUMNS, read_weight_log, save_checkpoint, write_csv
-from sphash.losses import LossConfig
+from sphash.losses import BatchCodes, LossConfig, per_instance_loss
 from sphash.pacer import PaceSchedule, SampleWeights, refresh_weights
 from sphash.seeding import stable_seed
 from sphash.trainer import (
@@ -20,6 +22,8 @@ from sphash.trainer import (
     TrainConfig,
     TrainReport,
     _OptimizerState,
+    _full_train_losses,
+    _Workspace,
     resolve_config,
     step,
     train,
@@ -193,6 +197,72 @@ class TestStep:
             step(params, centers, x, y, None, cfg, opt, epoch=4, batch_index=2)
         assert err.value.epoch == 4
         assert err.value.batch == 2
+
+
+    def test_warm_step_allocates_under_128_kib(self):
+        # every (B, hidden), (B, L), (2B, 2B) and flat-weight array lives in the workspace;
+        # what is left are (B, K) and (2B,) vectors and numpy's own 64 KiB iterator
+        # buffer for a broadcasting ufunc
+        rng = np.random.default_rng(8)
+        params = init_params((64, 48), hidden_dim=256, code_length=128, seed=8)
+        centers = init_centers(8, 128, seed=8)
+        x = [rng.normal(size=(128, 64)), rng.normal(size=(128, 48))]
+        y = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, 128)]
+        weights = SampleWeights(rng.uniform(0, 1, 128), gamma=1.0)
+        cfg = resolve_config(TrainConfig(code_length=128, hidden_dim=256, batch_size=128), 2)
+        opt, workspace = _OptimizerState(cfg.optimizer, params), _Workspace(params, 128)
+        step(params, centers, x, y, weights, cfg, opt, workspace=workspace)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            step(params, centers, x, y, weights, cfg, opt, workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 128 * 1024
+
+    def test_shorter_batch_reuses_the_workspace_bit_for_bit(self):
+        params1, centers, x, y = step_inputs(batch_size=5)
+        params2 = copy.deepcopy(params1)
+        cfg = tiny_config()
+        workspace = _Workspace(params1, 9)
+        step(params1, centers, x, y, None, cfg, _OptimizerState(cfg.optimizer, params1),
+             workspace=workspace)
+        step(params2, centers, x, y, None, cfg, _OptimizerState(cfg.optimizer, params2))
+        assert params1.flat.tobytes() == params2.flat.tobytes()
+
+
+def test_diverged_error_survives_pickle_and_copy():
+    err = TrainingDivergedError("non-finite loss at epoch 3, batch 7", 3, 7)
+    for clone in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(clone) is TrainingDivergedError
+        assert (str(clone), clone.epoch, clone.batch) == (str(err), 3, 7)
+
+
+class TestRefresh:
+    @pytest.mark.parametrize("bits", [32, 128])
+    def test_losses_equal_chunked_encode_oracle_bit_for_bit(self, bits):
+        # 1100 rows: one full 1024-row chunk and a 76-row tail
+        rng = np.random.default_rng(bits)
+        params = init_params((64, 48), hidden_dim=64, code_length=bits, seed=bits)
+        params.flat *= 3.0  # codes away from zero, so the loss varies per row
+        centers = init_centers(8, bits, seed=bits)
+        x_all = [rng.normal(size=(1100, 64)), rng.normal(size=(1100, 48))]
+        labels = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, 1100)]
+        cfg = LossConfig()
+        expected = np.concatenate([
+            per_instance_loss(
+                BatchCodes([encode_reference(mod, x[start:start + 1024])
+                            for mod, x in zip(params.modalities, x_all)],
+                           labels[start:start + 1024]),
+                centers, cfg)
+            for start in (0, 1024)
+        ])
+        got = _full_train_losses(params, centers, x_all, labels, cfg, epoch=0,
+                                 workspace=_Workspace(params, 128, 1024))
+        assert got.tobytes() == expected.tobytes()
+        assert np.unique(got).size > 1000
 
 
 class TestTrainLoop:
