@@ -32,7 +32,8 @@ import time
 from pathlib import Path
 
 from . import __version__, evaluator, trainer
-from .data import SynthSpec, generate_synthetic, inject_noise_subset, split, split_sizes
+from .data import (SynthSpec, generate_synthetic, inject_noise_subset, split, split_rows,
+                   split_sizes)
 from .encoder import check_capacity
 from .errors import (
     CompatibilityError,
@@ -205,9 +206,9 @@ def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path) -> Pat
     """
     dataset = generate_synthetic(spec)
     split_record = (args.train_frac, args.val_frac, spec.seed)
-    train_ds, _, _ = split(dataset, *split_record)
+    train_rows, _, _ = split_rows(dataset, *split_record)
     noised = inject_noise_subset(
-        dataset, train_ds.source_rows, noise_rate, stable_seed(spec.seed, "train-noise")
+        dataset, train_rows, noise_rate, stable_seed(spec.seed, "train-noise")
     )
     return write_dataset(noised, out, split_record)
 
@@ -227,10 +228,9 @@ def cmd_gen_data(args) -> int:
 _TRAIN_ARTIFACTS = ("checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv")
 
 
-def _run_training(dataset, split_record, config: trainer.TrainConfig, out: Path):
-    """Train on the dataset's split, then write the _TRAIN_ARTIFACTS to out."""
+def _run_training(train_ds, val_ds, config: trainer.TrainConfig, out: Path):
+    """Train on the train and validation splits, then write the _TRAIN_ARTIFACTS to out."""
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, val_ds, test_ds = split(dataset, *split_record)
     report = trainer.train(train_ds, val_ds, config)
     save_checkpoint(report.best_params, report.centers, out / "checkpoint.bin")
     trainer.write_report_csv(report, out / "report.csv")
@@ -238,7 +238,7 @@ def _run_training(dataset, split_record, config: trainer.TrainConfig, out: Path)
              for rec in report.records if rec.val_map_i2t is not None]
     write_csv(out / "map_curve.csv", ("epoch", "map_i2t", "map_t2i"), curve)
     trainer.write_weight_log_csv(report, train_ds, out / "weights.csv")
-    return report, (train_ds, val_ds, test_ds)
+    return report
 
 
 def cmd_train(args) -> int:
@@ -246,8 +246,10 @@ def cmd_train(args) -> int:
     dataset, split_record = read_dataset(Path(args.data))
     config = _train_config(args, args.bits, args.variant)
     check_capacity(dataset.class_count, config.code_length)
+    train_ds, val_ds, _ = split(dataset, *split_record)
+    del dataset  # the two splits hold every row training reads
     out = Path(args.out)
-    report, _ = _run_training(dataset, split_record, config, out)
+    report = _run_training(train_ds, val_ds, config, out)
     _write_run_manifest(out, "train", {"train": report.config, "data": str(args.data)},
                         args.seed, _TRAIN_ARTIFACTS, started, args.argv)
     print(f"best epoch {report.best_epoch} with validation MAP {report.best_val_map:.4f}; "
@@ -296,7 +298,9 @@ def cmd_eval(args) -> int:
             f"{dataset.class_count} classes"
         )
 
+    noise_mask, seed = dataset.noise_mask, dataset.seed
     train_ds, _, test_ds = split(dataset, *split_record)
+    del dataset  # from here on only its noise mask, seed and these two splits are read
     dump = None if args.weights is None else read_weight_log(args.weights)
     if dump is not None:  # its last epoch lists this dataset's training split, each row once
         idx, weights, noisy = dump
@@ -304,15 +308,15 @@ def cmd_eval(args) -> int:
         if (listed[1:] == listed[:-1]).any():
             raise FormatError(f"{args.weights}: the last epoch lists an instance more than once")
         if (listed.shape != rows.shape or (listed != rows).any()
-                or (noisy != dataset.noise_mask[idx]).any()):
+                or (noisy != noise_mask[idx]).any()):
             raise CompatibilityError(f"{args.weights}: the last epoch is not this dataset's "
                                      "training split with its noise mask")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = _write_retrieval_scores(params, train_ds, test_ds, out, args.pr_points)
-    if dump is not None and dataset.noise_mask.any():
-        score = evaluator.noise_detection_score(weights, dataset.noise_mask[idx])
+    if dump is not None and noise_mask.any():
+        score = evaluator.noise_detection_score(weights, noise_mask[idx])
         write_json(out / "noise_detection.json", score)
         histogram = evaluator.weight_density(weights, bins=20)
         edges = histogram.edges.tolist()
@@ -326,7 +330,7 @@ def cmd_eval(args) -> int:
     _write_run_manifest(
         out, "eval",
         {"checkpoint": str(args.checkpoint), "data": str(args.data), "pr_points": args.pr_points},
-        dataset.seed, artifacts, started, args.argv,
+        seed, artifacts, started, args.argv,
     )
     return 0
 
@@ -412,7 +416,9 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
     """gen-data + train + test-split MAP for one sweep cell, spec and config reseeded."""
     spec, config = dataclasses.replace(spec, seed=seed), dataclasses.replace(config, seed=seed)
     dataset, split_record = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
-    _, (train_ds, _, test_ds) = _run_training(dataset, split_record, config, cell_dir / "train")
+    train_ds, val_ds, test_ds = split(dataset, *split_record)
+    del dataset
+    _run_training(train_ds, val_ds, config, cell_dir / "train")
     # score the checkpoint's float32 weights, as eval does
     params, _ = load_checkpoint(cell_dir / "train" / "checkpoint.bin")
     return tuple(score for _, score in _test_split_scores(params, train_ds, test_ds))

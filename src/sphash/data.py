@@ -241,10 +241,10 @@ def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
     return n_train, n_val
 
 
-def split(
+def split_rows(
     dataset: MultiModalDataset, train_frac: float, val_frac: float, seed: int
-) -> tuple[MultiModalDataset, MultiModalDataset, MultiModalDataset]:
-    """Stratified disjoint train/val/test partition by true class.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted row indices of a stratified disjoint train/val/test partition by true class.
 
     Global sizes are round(frac*N) for train and val; per-class allocations
     stay within one instance of exact proportionality.
@@ -264,10 +264,11 @@ def split(
         train_rows.append(idx[:tr])
         val_rows.append(idx[tr : tr + va])
         test_rows.append(idx[tr + va :])
+    return tuple(np.sort(np.concatenate(parts)) for parts in (train_rows, val_rows, test_rows))
 
-    to_sorted = lambda parts: np.sort(np.concatenate(parts))
-    return (
-        dataset.take(to_sorted(train_rows)),
-        dataset.take(to_sorted(val_rows)),
-        dataset.take(to_sorted(test_rows)),
-    )
+
+def split(
+    dataset: MultiModalDataset, train_frac: float, val_frac: float, seed: int
+) -> tuple[MultiModalDataset, MultiModalDataset, MultiModalDataset]:
+    """The train/val/test datasets of ``split_rows``."""
+    return tuple(dataset.take(rows) for rows in split_rows(dataset, train_frac, val_frac, seed))

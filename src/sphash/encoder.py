@@ -124,9 +124,10 @@ def forward(
     return hidden, codes
 
 
-def encode(mod: ModalityParams, x: np.ndarray) -> np.ndarray:
-    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2); rows map independently."""
-    return forward(mod, x)[1]
+def encode(mod: ModalityParams, x: np.ndarray, out=None) -> np.ndarray:
+    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2), in out as ``forward`` computes them;
+    rows map independently."""
+    return forward(mod, x, out)[1]
 
 
 def backward_scratch_size(rows: int, hidden_dim: int, code_length: int) -> int:
@@ -184,7 +185,7 @@ def binarize(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     if not np.all(np.isfinite(codes)):
         raise ParameterError("cannot binarize non-finite codes")
-    return np.where(codes >= 0, 1, -1).astype(np.int8)
+    return np.where(codes >= 0, np.int8(1), np.int8(-1))
 
 
 def check_capacity(class_count: int, code_length: int) -> None:

@@ -90,17 +90,6 @@ def _ranked_chunk(query_words, gallery_words, query_labels, gallery_labels) -> n
     return relevance.ravel().take(order)
 
 
-def pairwise_hamming(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """All-pairs distances via packed-word popcounts (the hot kernel).
-
-    The result is unsigned and as narrow as the code length allows (uint8 up
-    to 255 bits): cast it before subtracting or summing many distances.
-    """
-    if codes_a.shape[1] != codes_b.shape[1]:
-        raise ShapeError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
-    return kernels.pairwise_hamming_packed(kernels.pack_signs(codes_a), kernels.pack_signs(codes_b))
-
-
 def cross_modal_tasks(
     query_codes, query_labels, gallery_codes, gallery_labels
 ) -> tuple[RetrievalTask, RetrievalTask]:

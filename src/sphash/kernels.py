@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-QUERY_CHUNK = 64  # query rows per (rows, G) scratch buffer of 8-byte cells: 3.6 MB at G = 7000
+QUERY_CHUNK = 32  # query rows per (rows, G) scratch buffer of 8-byte cells: 1.8 MB at G = 7000
 
 
 def pack_signs(codes: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ A mini-batch step runs every encoder forward once, takes the objective's
 parts and code gradients from ``losses.total_loss``, runs
 backward through the stored activations, and applies one elementwise SGD or
 adaptive-moments update to the flat weight vector (layout in ``encoder``).
-Every step and weight refresh of a run writes into one workspace allocated
-before the first epoch, so the thousands of steps of a run allocate no
-array that scales with the batch, the chunk or the weights.
+Every step, weight refresh and validation of a run writes into one workspace
+allocated before the first epoch, so the thousands of steps of a run allocate
+no array that scales with the batch, the chunk or the weights. Features stay
+float32; each batch or chunk is cast to float64 (exactly) as it is read.
 
 Variants (ablations and robustness probes):
   full             the complete method
@@ -211,15 +212,15 @@ class _StepViews:
 
 
 class _Workspace:
-    """The memory every training step and weight refresh of a run writes into.
+    """The memory every training step, weight refresh and validation of a run writes into.
 
     One float64 arena holds, in turn, a step's temporaries (``step_views``),
-    the optimizer update's scratch (``update_scratch``) and a refresh chunk's
-    activations (``refresh_views``). These phases never overlap: the update
-    runs after backward has read the last step temporary, and a refresh runs
-    between epochs. The views for fewer rows than the arena was sized for are
-    contiguous reshapes of its leading elements, so a short batch or chunk
-    touches no new memory. ``grad`` is the flat gradient, laid out like
+    the optimizer update's scratch (``update_scratch``) and the activations of
+    a refresh or validation chunk (``refresh_views``). These phases never
+    overlap: the update runs after backward has read the last step temporary,
+    and a refresh or a validation runs between epochs. The views for fewer
+    rows than the arena was sized for are contiguous reshapes of its leading
+    elements, so a short batch or chunk touches no new memory. ``grad`` is the flat gradient, laid out like
     ``params.flat``, one block per modality in ``grad_blocks``; it is not in
     the arena, since the update reads it.
     """
@@ -314,7 +315,7 @@ def _full_train_losses(
     """Per-instance losses over the whole training split, parameters frozen.
 
     The split is encoded _REFRESH_CHUNK rows at a time into the workspace (a
-    fresh one when None).
+    fresh one when None), each chunk cast to float64 as it is read.
     """
     n = labels.shape[0]
     if workspace is None:
@@ -333,14 +334,24 @@ def _full_train_losses(
     return out
 
 
-def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset) -> list[np.ndarray]:
-    """Binarized codes for every modality of a dataset, encoded _REFRESH_CHUNK rows at a time."""
+def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
+    """Binarized codes for every modality of a dataset, encoded _REFRESH_CHUNK rows at a time.
+
+    Every chunk is computed in buffers, a float64 (hidden, codes) pair of at
+    least min(_REFRESH_CHUNK, n) rows, allocated once when None.
+    """
+    n = dataset.n
+    if buffers is None:
+        rows = min(_REFRESH_CHUNK, n)
+        buffers = np.empty((rows, params.hidden_dim)), np.empty((rows, params.code_length))
     out = []
     for mod, x in zip(params.modalities, dataset.modalities):
-        codes = np.empty((len(x), params.code_length), dtype=np.int8)
-        for start in range(0, len(x), _REFRESH_CHUNK):
-            rows = slice(start, start + _REFRESH_CHUNK)
-            codes[rows] = binarize(encode(mod, x[rows]))
+        codes = np.empty((n, params.code_length), dtype=np.int8)
+        for start in range(0, n, _REFRESH_CHUNK):
+            stop = min(start + _REFRESH_CHUNK, n)
+            pair = tuple(b[: stop - start] for b in buffers)
+            codes[start:stop] = binarize(encode(mod, x[start:stop], pair))
         out.append(codes)
     return out
 
@@ -349,13 +360,15 @@ def _validation_map(
     params: HashEncoderParams,
     val_ds: MultiModalDataset,
     clean_val: bool,
+    workspace: _Workspace,
 ) -> tuple[float, float]:
-    """Cross-modal MAP within the validation split.
+    """Cross-modal MAP within the validation split, encoded in the workspace's refresh views.
 
     Relevance uses only the validation split's own labels (ground-truth ones
     under clean_val), so model selection never peeks at train-split truth.
     """
-    codes = binary_codes(params, val_ds)
+    hidden, relaxed = workspace.refresh_views(min(_REFRESH_CHUNK, val_ds.n))
+    codes = binary_codes(params, val_ds, (hidden, relaxed[0]))
     labels = val_ds.true_labels if clean_val else val_ds.labels
     i2t, t2i = evaluator.cross_modal_tasks(codes, labels, codes, labels)
     return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
@@ -372,10 +385,10 @@ def train(
     centers = init_centers(train_ds.class_count, config.code_length, config.seed)
     opt_state = _OptimizerState(config.optimizer, params)
 
-    x_all = [x.astype(np.float64) for x in train_ds.modalities]
     labels = train_ds.labels
     n_train = train_ds.n
-    workspace = _Workspace(params, min(config.batch_size, n_train), min(_REFRESH_CHUNK, n_train))
+    workspace = _Workspace(params, min(config.batch_size, n_train),
+                           min(_REFRESH_CHUNK, max(n_train, val_ds.n)))
 
     records: list[EpochRecord] = []
     paced_losses = np.empty((config.max_epochs - config.warmup_epochs, n_train))
@@ -389,7 +402,7 @@ def train(
             paced = epoch - config.warmup_epochs
             gamma = pacer.gamma_at(config.pace, paced)
             paced_losses[paced] = _full_train_losses(
-                params, centers, x_all, labels, config.loss, epoch, workspace
+                params, centers, train_ds.modalities, labels, config.loss, epoch, workspace
             )
             weights_all = pacer.refresh_weights(paced_losses[paced], gamma)
             if config.variant == "no_spl":
@@ -407,9 +420,8 @@ def train(
             if weights_all is not None:
                 w_slice = SampleWeights(weights_all.values[rows], weights_all.gamma)
             x_batch = workspace.step_views(len(rows)).inputs
-            for x, batch_x in zip(x_all, x_batch):
-                # rows are in range (a permutation); mode="raise" would copy through a buffer
-                np.take(x, rows, axis=0, out=batch_x, mode="clip")
+            for x, batch_x in zip(train_ds.modalities, x_batch):
+                np.copyto(batch_x, x[rows])  # take(out=) cannot cast float32 to float64
             parts = step(
                 params,
                 centers,
@@ -429,7 +441,7 @@ def train(
 
         val_i2t = val_t2i = None
         if epoch % config.eval_every == 0 or epoch == config.max_epochs - 1:
-            val_i2t, val_t2i = _validation_map(params, val_ds, config.clean_val)
+            val_i2t, val_t2i = _validation_map(params, val_ds, config.clean_val, workspace)
             mean_map = 0.5 * (val_i2t + val_t2i)
             if mean_map > best_map:
                 best_map = mean_map

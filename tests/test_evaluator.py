@@ -1,4 +1,4 @@
-import tracemalloc
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from memory import traced_peak
 from oracles import (
     naive_average_precision,
     naive_mean_average_precision,
@@ -20,7 +21,6 @@ from sphash.evaluator import (
     cross_modal_tasks,
     mean_average_precision,
     noise_detection_score,
-    pairwise_hamming,
     pr_curve,
     weight_density,
 )
@@ -89,6 +89,11 @@ def task_ranked_as(rel):
                          np.eye(n_gallery, dtype=np.uint8))
 
 
+def pairwise_hamming(codes_a, codes_b):
+    """All-pairs distances of {-1,+1} code rows through the packed kernel."""
+    return kernels.pairwise_hamming_packed(kernels.pack_signs(codes_a), kernels.pack_signs(codes_b))
+
+
 def distance(a, b) -> int:
     """One pair's distance through the packed all-pairs kernel."""
     return int(pairwise_hamming(a[None, :], b[None, :])[0, 0])
@@ -121,8 +126,10 @@ class TestHammingDistance:
         assert distance(a, -a) == 5
 
     def test_length_mismatch(self):
+        # 3 and 4 bits pack into one word each: the task is what compares code lengths
         with pytest.raises(ShapeError):
-            pairwise_hamming(np.ones((1, 3), dtype=np.int8), np.ones((1, 4), dtype=np.int8))
+            RetrievalTask(np.ones((1, 3), dtype=np.int8), np.ones((1, 1), dtype=np.uint8),
+                          np.ones((1, 4), dtype=np.int8), np.ones((1, 1), dtype=np.uint8))
 
     @settings(max_examples=50, deadline=None)
     @given(codes=pm_codes)
@@ -150,12 +157,6 @@ class TestPairwiseHamming:
             b = rng.choice([-1, 1], (13, length)).astype(np.int8)
             dot_route = (length - a.astype(np.int64) @ b.astype(np.int64).T) // 2
             assert np.array_equal(pairwise_hamming(a, b), dot_route)
-
-    def test_shape_check(self):
-        a = np.ones((2, 4), dtype=np.int8)
-        b = np.ones((2, 5), dtype=np.int8)
-        with pytest.raises(ShapeError):
-            pairwise_hamming(a, b)
 
 
 class TestRankGallery:
@@ -213,37 +214,35 @@ class TestRankOnce:
         task = random_task(np.random.default_rng(14), n_query=150)
         mean_average_precision(task)
         pr_curve(task, 5)
-        assert len(calls) == 3  # one Hamming call per 64-query chunk, for both metrics
+        # one Hamming call per query chunk, for both metrics
+        assert len(calls) == math.ceil(150 / kernels.QUERY_CHUNK)
+
+    @pytest.mark.parametrize("chunk", [16, 32, 64, 100])
+    def test_query_chunk_does_not_change_the_bits(self, monkeypatch, chunk):
+        # AP, MAP and the PR sums add per query, in query order, whatever the chunk
+        def scores():
+            task = random_task(np.random.default_rng(19), n_query=150, n_gallery=700,
+                               length=128, k=6, multi_label=True)
+            return mean_average_precision(task), pr_curve(task, 11)
+
+        expected = scores()
+        monkeypatch.setattr(kernels, "QUERY_CHUNK", chunk)
+        assert scores() == expected
 
     def test_ranking_peaks_below_a_dense_float32_relevance(self):
         # relevance is computed one query chunk at a time, never as a (Q, G) float32 matrix
         n = 2000
         task = random_task(np.random.default_rng(17), n, n, length=32, k=8, multi_label=True)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            task.packed_ranking
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 4
+        assert traced_peak(lambda: task.packed_ranking) < n * n * 4
 
     def test_map_and_pr_curve_peak_below_8_mb(self):
         # the ranking is kept bit-packed (1.75 MB here) and built, then read, one
-        # 64-query chunk at a time: no (Q, G) matrix is ever alive
+        # query chunk at a time: no (Q, G) matrix is ever alive
         rng = np.random.default_rng(18)
         task = random_task(rng, n_query=2000, n_gallery=7000, length=128, k=8)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            mean_average_precision(task)
-            pr_curve(task, 11)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: (mean_average_precision(task), pr_curve(task, 11)))
         assert task.packed_ranking.shape == (2000, 875)
-        assert peak - before < 8_000_000
+        assert peak < 8_000_000
 
     def test_cross_modal_directions(self):
         rng = np.random.default_rng(15)

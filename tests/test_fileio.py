@@ -1,12 +1,12 @@
 import json
 import struct
-import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memory import traced_peak
 from sphash.data import SynthSpec, generate_synthetic
 from sphash.encoder import encode, init_centers, init_params
 from sphash.errors import (
@@ -249,13 +249,7 @@ class TestChunkedWrites:
         losses, weights = 3.0 * rng.random((epochs, n)), rng.random((epochs, n))
         rows, noisy = rng.permutation(3 * n)[:n], rng.random(n) < 0.4
         path = tmp_path / "weights.csv"
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            write_weight_log(path, 7, losses, weights, rows, noisy)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: write_weight_log(path, 7, losses, weights, rows, noisy))
         assert peak < path.stat().st_size / 2
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + epochs * n

@@ -1,16 +1,17 @@
 import copy
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memory import traced_peak
 from oracles import NestedOptimizer, encode_reference
 import sphash.fileio as fileio
 import sphash.trainer as trainer_module
-from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, split
+from sphash.data import MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
+from sphash.evaluator import cross_modal_tasks, mean_average_precision
 from sphash.fileio import WEIGHT_LOG_COLUMNS, read_weight_log, save_checkpoint, write_csv
 from sphash.losses import BatchCodes, LossConfig, per_instance_loss
 from sphash.pacer import PaceSchedule, SampleWeights, refresh_weights
@@ -24,6 +25,7 @@ from sphash.trainer import (
     _OptimizerState,
     _full_train_losses,
     _Workspace,
+    binary_codes,
     resolve_config,
     step,
     train,
@@ -54,6 +56,13 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def random_dataset(rng, n, dims=(64, 48), k=8):
+    """n float32 rows per modality, one class per row, no noise."""
+    labels = np.eye(k, dtype=np.uint8)[rng.integers(0, k, n)]
+    features = [rng.normal(size=(n, d)).astype(np.float32) for d in dims]
+    return MultiModalDataset(features, labels, labels.copy(), np.zeros(n, dtype=bool), k, 0)
 
 
 def step_inputs(batch_size=6, seed=0):
@@ -212,15 +221,9 @@ class TestStep:
         cfg = resolve_config(TrainConfig(code_length=128, hidden_dim=256, batch_size=128), 2)
         opt, workspace = _OptimizerState(cfg.optimizer, params), _Workspace(params, 128)
         step(params, centers, x, y, weights, cfg, opt, workspace=workspace)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            step(params, centers, x, y, weights, cfg, opt, workspace=workspace)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 128 * 1024
+        peak = traced_peak(lambda: step(params, centers, x, y, weights, cfg, opt,
+                                        workspace=workspace))
+        assert peak < 128 * 1024
 
     def test_shorter_batch_reuses_the_workspace_bit_for_bit(self):
         params1, centers, x, y = step_inputs(batch_size=5)
@@ -263,6 +266,42 @@ class TestRefresh:
                                  workspace=_Workspace(params, 128, 1024))
         assert got.tobytes() == expected.tobytes()
         assert np.unique(got).size > 1000
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bits", [32, 128])
+    def test_workspace_codes_equal_fresh_codes_bit_for_bit(self, bits):
+        # 1100 rows: one full 1024-row chunk and a 76-row tail
+        rng = np.random.default_rng(bits)
+        params = init_params((64, 48), hidden_dim=64, code_length=bits, seed=bits)
+        params.flat *= 3.0
+        ds = random_dataset(rng, 1100)
+        hidden, codes = _Workspace(params, 16, 1024).refresh_views(1024)
+        got = binary_codes(params, ds, (hidden, codes[0]))
+        for mod, x, mine, fresh in zip(params.modalities, ds.modalities, got,
+                                       binary_codes(params, ds)):
+            expected = np.concatenate([np.where(encode_reference(mod, x[start:start + 1024]) >= 0,
+                                                1, -1) for start in (0, 1024)]).astype(np.int8)
+            assert mine.tobytes() == fresh.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bits", [32, 128])
+    def test_validation_split_larger_than_the_training_split(self, bits):
+        ds = generate_synthetic(SynthSpec(n=200, k=3, m=2, dims=(6, 5), seed=2))
+        tr, va, _ = split(ds, 0.2, 0.5, 2)
+        assert va.n > tr.n
+        report = train(tr, va, tiny_config(code_length=bits, warmup_epochs=0, max_epochs=1))
+        codes = binary_codes(report.best_params, va)  # without a workspace
+        i2t, t2i = cross_modal_tasks(codes, va.labels, codes, va.labels)
+        record = report.records[0]
+        assert (record.val_map_i2t, record.val_map_t2i) == (
+            mean_average_precision(i2t), mean_average_precision(t2i))
+
+    def test_train_peaks_below_a_float64_copy_of_the_split(self):
+        # 20,000 x (64 + 48) float32 features: a float64 copy of them alone is 17.9 MB
+        rng = np.random.default_rng(9)
+        tr, va = random_dataset(rng, 20_000), random_dataset(rng, 200)
+        cfg = TrainConfig(code_length=8, hidden_dim=16, warmup_epochs=0, max_epochs=1, seed=9)
+        assert traced_peak(lambda: train(tr, va, cfg)) < 20_000 * (64 + 48) * 8
 
 
 class TestTrainLoop:
@@ -339,9 +378,9 @@ class TestTrainLoop:
         validated = []  # params.flat at each validation, in epoch order
         real = trainer_module._validation_map
 
-        def recording(params, val_ds, clean_val):
+        def recording(params, val_ds, clean_val, workspace):
             validated.append(params.flat.copy())
-            return real(params, val_ds, clean_val)
+            return real(params, val_ds, clean_val, workspace)
 
         monkeypatch.setattr(trainer_module, "_validation_map", recording)
         tr, va, _ = tiny_splits()
