@@ -14,8 +14,8 @@ encoder; gradients and optimizer moments share the layout.
 
 ``forward`` returns the hidden activations along with the relaxed codes, and
 ``backward`` takes them back, so a training step evaluates each layer once.
-Both write into caller-supplied arrays when given them, so a training loop
-can run every step in one preallocated workspace.
+Both write into arrays the caller supplies, so a training loop runs every
+step in one preallocated workspace.
 """
 
 from __future__ import annotations
@@ -100,20 +100,16 @@ def init_params(dims, hidden_dim: int, code_length: int, seed: int) -> HashEncod
 
 
 def forward(
-    mod: ModalityParams, x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+    mod: ModalityParams, x: np.ndarray, out: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hidden, codes): hidden = tanh(x W1 + b1), codes = tanh(hidden W2 + b2).
 
-    out, if given, is the (hidden, codes) pair of float64 arrays to write them
-    into; each layer is computed in place there, in the same operations as a
-    fresh result.
+    out is the (hidden, codes) pair of float64 arrays to write them into;
+    each layer is computed in place there.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mod.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
-    if out is None:
-        rows = x.shape[:-1]
-        out = np.empty(rows + mod.b1.shape), np.empty(rows + mod.b2.shape)
     hidden, codes = out
     np.matmul(x, mod.w1, out=hidden)
     hidden += mod.b1
@@ -124,7 +120,7 @@ def forward(
     return hidden, codes
 
 
-def encode(mod: ModalityParams, x: np.ndarray, out=None) -> np.ndarray:
+def encode(mod: ModalityParams, x: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2), in out as ``forward`` computes them;
     rows map independently."""
     return forward(mod, x, out)[1]
@@ -137,18 +133,18 @@ def backward_scratch_size(rows: int, hidden_dim: int, code_length: int) -> int:
 
 def backward(
     mod: ModalityParams, x: np.ndarray, hidden: np.ndarray, codes: np.ndarray,
-    grad_codes: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    grad_codes: np.ndarray, out: np.ndarray, scratch: np.ndarray,
 ) -> np.ndarray:
     """Gradient of sum(grad_codes * codes) w.r.t. one modality's weights.
 
-    hidden and codes are what ``forward(mod, x)`` returned; grad_codes holds
+    hidden and codes are what ``forward(mod, x, ...)`` returned; grad_codes holds
     the upstream gradient of the loss with respect to the relaxed codes. The
     chain rule runs through both tanh layers. The result is one vector laid
     out like this modality's block of the flat weights: w1, b1, w2, b2.
 
-    out, if given, is that vector to write into, and scratch a float64 vector
-    of at least ``backward_scratch_size`` elements for the intermediates;
-    without them both are allocated. No input is modified.
+    out is that vector to write into, and scratch a float64 vector of at
+    least ``backward_scratch_size`` elements for the intermediates. No input
+    is modified.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     grad_codes = np.atleast_2d(np.asarray(grad_codes, dtype=np.float64))
@@ -159,10 +155,6 @@ def backward(
     want = ((rows, h), (rows, l), (rows, l))
     if got != want:
         raise ShapeError(f"hidden, codes and grad shapes {got} != {want}")
-    if out is None:
-        out = np.empty(flat_size((d,), h, l))
-    if scratch is None:
-        scratch = np.empty(backward_scratch_size(rows, h, l))
     dz2, dz1, factor = carve(scratch, (rows, l), (rows, h), (rows, h))
     grad_w1, grad_b1, grad_w2, grad_b2 = carve(out, (d, h), (h,), (h, l), (l,))
 

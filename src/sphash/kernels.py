@@ -7,7 +7,7 @@ the code length (uint8 up to 255 bits, uint16 beyond), so a stable argsort of
 them is numpy's O(n) radix sort.
 
 Average precision and the PR curve read only the relevant ranks of a ranking:
-the precision j / rank at the j-th relevant rank, one query chunk at a time.
+the precision j / rank at the j-th relevant rank.
 An irrelevant rank adds a term of 0.0 to AP, and adding 0.0 is exact, so a
 cumulative sum over the relevant ranks alone, which adds strictly left to
 right, gives the bits of a sequential per-query loop over the whole ranking.
@@ -40,21 +40,18 @@ def pairwise_hamming_packed(query_words: np.ndarray, gallery_words: np.ndarray) 
     """All-pairs Hamming distances between packed code sets, shape (Q, G).
 
     The dtype is the narrowest unsigned integer that holds 64 bits per word.
+    A (Q, G) uint64 scratch holds one word's xor, so callers pass a query
+    chunk (``QUERY_CHUNK`` rows), not a whole query set.
     """
     n_words = query_words.shape[1]
     if gallery_words.shape[1] != n_words:
         raise ValueError("packed word counts differ")
-    n_query = query_words.shape[0]
-    out = np.zeros((n_query, gallery_words.shape[0]), dtype=np.min_scalar_type(64 * n_words))
+    out = np.zeros((len(query_words), len(gallery_words)), dtype=np.min_scalar_type(64 * n_words))
     gallery_columns = np.ascontiguousarray(gallery_words.T)
-    xor = np.empty((min(QUERY_CHUNK, n_query), gallery_words.shape[0]), dtype=np.uint64)
-    for start in range(0, n_query, QUERY_CHUNK):
-        rows = slice(start, start + QUERY_CHUNK)
-        block = out[rows]
-        buffer = xor[:len(block)]
-        for word in range(n_words):
-            np.bitwise_xor(query_words[rows, word, None], gallery_columns[word], out=buffer)
-            block += np.bitwise_count(buffer)
+    xor = np.empty(out.shape, dtype=np.uint64)
+    for word in range(n_words):
+        np.bitwise_xor(query_words[:, word, None], gallery_columns[word], out=xor)
+        out += np.bitwise_count(xor)
     return out
 
 
@@ -78,13 +75,9 @@ def ap_scores(ranked_relevance: np.ndarray) -> np.ndarray:
     """Average precision per query from 0/1 relevance in rank order.
 
     AP = (1/R) * sum over relevant ranks k of (relevant-in-top-k) / k,
-    and 0.0 for a query with no relevant items.
+    and 0.0 for a query with no relevant items. Callers pass one query chunk.
     """
-    rel = np.asarray(ranked_relevance)
-    scores = np.zeros(len(rel))
-    for start in range(0, len(rel), QUERY_CHUNK):
-        counts, precision = ranked_precision(rel[start:start + QUERY_CHUNK])
-        # cumsum adds strictly left to right: the order of a sequential per-query loop
-        totals = np.cumsum(precision, axis=1)[:, -1]
-        np.divide(totals, counts, out=scores[start:start + len(counts)], where=counts > 0)
-    return scores
+    counts, precision = ranked_precision(np.asarray(ranked_relevance))
+    # cumsum adds strictly left to right: the order of a sequential per-query loop
+    totals = np.cumsum(precision, axis=1)[:, -1]
+    return np.divide(totals, counts, out=np.zeros(len(counts)), where=counts > 0)

@@ -133,14 +133,6 @@ class LossBuffers:
         rows = n_modalities * batch_size
         return ((rows, code_length),) * 3 + ((rows, rows),) * 2
 
-    @classmethod
-    def for_batch(cls, batch: BatchCodes) -> LossBuffers:
-        """Fresh buffers with the batch's codes copied in."""
-        shapes = cls.shapes(batch.n_modalities, batch.batch_size, batch.codes[0].shape[1])
-        buffers = cls(*(np.empty(shape) for shape in shapes))
-        np.concatenate(batch.codes, out=buffers.codes)
-        return buffers
-
 
 def _positives(n_rows: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays of each stacked row's same-instance columns, shape (M*B, M).
@@ -151,42 +143,39 @@ def _positives(n_rows: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows % batch_size + np.arange(0, n_rows, batch_size)
 
 
-def _instance_softmax(batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers | None = None):
+def _instance_softmax(batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers):
     """Shared contrastive quantities.
 
-    Returns (P, q): the (MB, MB) softmax over all anchor/target code pairs, in
-    buffers.softmax, and per-anchor match probabilities q = the sum of P over
-    the anchor's same-instance targets. With two modalities that is
-    p[i, i] + p[i, (i + B) mod 2B], bit-equal to a row sum of P masked to
-    those targets: every other term of that sum is an exact 0.0.
+    Returns (P, q, positives): the (MB, MB) softmax over all anchor/target code
+    pairs, in buffers.softmax; per-anchor match probabilities q = the sum of P
+    over the anchor's same-instance targets; and the ``_positives`` index of
+    those targets. With two modalities q is p[i, i] + p[i, (i + B) mod 2B],
+    bit-equal to a row sum of P masked to those targets: every other term of
+    that sum is an exact 0.0.
     """
-    if buffers is None:
-        buffers = LossBuffers.for_batch(batch)
     p = np.matmul(buffers.codes, buffers.codes.T, out=buffers.softmax)
     p /= cfg.tau
     _row_softmax(p)
-    q = np.clip(p[_positives(len(p), batch.batch_size)].sum(axis=1), 0.0, 1.0)
-    return p, q
+    positives = _positives(len(p), batch.batch_size)
+    q = np.clip(p[positives].sum(axis=1), 0.0, 1.0)
+    return p, q, positives
 
 
 def chl_loss(
-    batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers | None = None
+    batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers
 ) -> tuple[float, list[np.ndarray]]:
     """Contrastive value and its gradients w.r.t. every modality's codes.
 
-    With buffers, every (MB, MB) and (MB, L) array is written there and the
-    gradients are views of buffers.contrastive; without, fresh ones are made.
+    Every (MB, MB) and (MB, L) array is written in buffers, and the gradients
+    are views of buffers.contrastive.
     """
-    if buffers is None:
-        buffers = LossBuffers.for_batch(batch)
     b = batch.batch_size
-    p, q = _instance_softmax(batch, cfg, buffers)
+    p, q, positives = _instance_softmax(batch, cfg, buffers)
     value = float(gce_terms(q, cfg.r).sum() / b)
 
     # g = coeff * p * (positive - q), entry by entry in that order: (coeff p)(0.0 - q)
     # everywhere, then (coeff p)(1 - q) at the positives
     coeff = gce_grad(q, cfg.r) / b
-    positives = _positives(len(p), b)
     p *= coeff[:, None]
     at_positives = p[positives]
     p *= (0.0 - q)[:, None]  # not -q: keeps the sign of a zero
@@ -224,20 +213,18 @@ def per_instance_loss(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig) -
 
 def _weighted_center_loss(
     batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, scale: np.ndarray,
-    out: np.ndarray | None,
+    out: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
     """Value and code gradients of (1/B) sum_i scale_i * loss_i.
 
     The gradients are written into out, an (M*B, L) array laid out like
-    ``LossBuffers.grads`` (a fresh one when None), and returned as its row blocks.
+    ``LossBuffers.grads``, and returned as its row blocks.
     """
     b = batch.batch_size
     probs, labels, v = _aggregation_matrix(batch, centers, cfg)
     value = float((scale * gce_terms(v, cfg.r).sum(axis=1)).sum() / b)
 
     centers_f = np.asarray(centers, dtype=np.float64)
-    if out is None:
-        out = np.empty((batch.n_modalities * b, centers_f.shape[1]))
     grads = []
     for m, p in enumerate(probs):
         coeff = (scale * gce_grad(v[:, m], cfg.r)) / b
@@ -249,7 +236,7 @@ def _weighted_center_loss(
 
 
 def cal_loss(
-    batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, out: np.ndarray | None = None
+    batch: BatchCodes, centers: np.ndarray, cfg: LossConfig, out: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """Center aggregation loss: mean of per-instance losses, with gradients (written to out)."""
     return _weighted_center_loss(batch, centers, cfg, np.ones(batch.batch_size), out)
@@ -257,7 +244,7 @@ def cal_loss(
 
 def nsh_loss(
     batch: BatchCodes, centers: np.ndarray, weights: SampleWeights, cfg: LossConfig,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
     """Self-paced loss: weighted center criterion plus the pace regularizer.
 
@@ -279,7 +266,7 @@ def total_loss(
     centers: np.ndarray,
     weights: SampleWeights | None,
     cfg: LossConfig,
-    buffers: LossBuffers | None = None,
+    buffers: LossBuffers,
 ) -> tuple[float, float | None, list[np.ndarray]]:
     """Parts of one step's objective, center + alpha * contrastive.
 
@@ -287,10 +274,8 @@ def total_loss(
     criterion in warm-up (no weights) and its weighted form with the pace
     regularizer otherwise. The contrastive term is None at alpha = 0, where
     it is never evaluated. grads are the code gradients of the whole
-    objective: the row blocks of buffers.grads (fresh buffers when None).
+    objective: the row blocks of buffers.grads.
     """
-    if buffers is None:
-        buffers = LossBuffers.for_batch(batch)
     if weights is None:
         center, grads = cal_loss(batch, centers, cfg, buffers.grads)
     else:

@@ -167,19 +167,15 @@ class _OptimizerState:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
 
-    def apply(
-        self, params: HashEncoderParams, grad: np.ndarray, lr: float,
-        scratch: np.ndarray | None = None,
-    ) -> None:
+    def apply(self, params: HashEncoderParams, grad: np.ndarray, lr: float,
+              scratch: np.ndarray) -> None:
         """One elementwise update of params.flat from a gradient of the same layout.
 
-        The two rows of scratch, shaped (2, params.flat.size) and allocated when
-        None, take the update and its denominator. They are computed by the
-        formula's operations in its order, so the result has the bits of the
-        formula evaluated with temporaries.
+        The two rows of scratch, shaped (2, params.flat.size), take the update
+        and its denominator. They are computed by the formula's operations in
+        its order, so the result has the bits of the formula evaluated with
+        temporaries.
         """
-        if scratch is None:
-            scratch = np.empty((2, params.flat.size))
         update, denominator = scratch
         if self.kind == "sgd":
             params.flat -= np.multiply(lr, grad, out=update)
@@ -261,34 +257,31 @@ class _Workspace:
 def step(
     params: HashEncoderParams,
     centers: np.ndarray,
-    x_batch: list[np.ndarray],
+    workspace: _Workspace,
+    views: _StepViews,
     y_batch: np.ndarray,
     weights: SampleWeights | None,
     config: TrainConfig,
     opt_state: _OptimizerState,
     epoch: int = -1,
     batch_index: int = -1,
-    workspace: _Workspace | None = None,
 ) -> dict:
-    """One optimizer step; returns the loss parts. No weights means warm-up.
+    """One optimizer step on the batch whose features views.inputs holds; returns
+    the loss parts. No weights means warm-up.
 
     Each encoder runs forward once; backward reuses those activations, and
     the modality gradients fill one vector laid out like params.flat. Every
-    array that scales with the batch or the weights is one of the workspace's
-    (a fresh workspace when None), so a step allocates only small vectors.
+    array that scales with the batch or the weights is one of the workspace's,
+    views among them (``workspace.step_views`` for this batch's rows), so a
+    step allocates only small vectors.
     """
     mods = params.modalities
-    if len(x_batch) != len(mods):
-        raise ShapeError(f"{len(x_batch)} feature blocks for {len(mods)} encoders")
-    rows = y_batch.shape[0]
+    rows = len(views.hidden[0])
     if rows == 0:
         raise ShapeError("empty batch")
-    if workspace is None:
-        workspace = _Workspace(params, rows)
-    views = workspace.step_views(rows)
 
     codes = [views.loss.codes[m * rows : (m + 1) * rows] for m in range(len(mods))]
-    for mod, x, hidden, out in zip(mods, x_batch, views.hidden, codes):
+    for mod, x, hidden, out in zip(mods, views.inputs, views.hidden, codes):
         forward(mod, x, (hidden, out))
     batch = BatchCodes(codes, y_batch)
     center, contrastive, code_grads = losses.total_loss(
@@ -301,7 +294,7 @@ def step(
         )
 
     for mod, x, hidden, out, g, grad in zip(
-        mods, x_batch, views.hidden, codes, code_grads, workspace.grad_blocks
+        mods, views.inputs, views.hidden, codes, code_grads, workspace.grad_blocks
     ):
         backward(mod, x, hidden, out, g, grad, views.scratch)
     opt_state.apply(params, workspace.grad, config.learning_rate, workspace.update_scratch)
@@ -310,16 +303,14 @@ def step(
 
 def _full_train_losses(
     params: HashEncoderParams, centers: np.ndarray, x_all: list[np.ndarray],
-    labels: np.ndarray, cfg: LossConfig, epoch: int, workspace: _Workspace | None = None,
+    labels: np.ndarray, cfg: LossConfig, epoch: int, workspace: _Workspace,
 ) -> np.ndarray:
     """Per-instance losses over the whole training split, parameters frozen.
 
-    The split is encoded _REFRESH_CHUNK rows at a time into the workspace (a
-    fresh one when None), each chunk cast to float64 as it is read.
+    The split is encoded _REFRESH_CHUNK rows at a time into the workspace,
+    each chunk cast to float64 as it is read.
     """
     n = labels.shape[0]
-    if workspace is None:
-        workspace = _Workspace(params, 0, min(n, _REFRESH_CHUNK))
     out = np.empty(n)
     for start in range(0, n, _REFRESH_CHUNK):
         stop = min(start + _REFRESH_CHUNK, n)
@@ -419,21 +410,11 @@ def train(
             w_slice = None
             if weights_all is not None:
                 w_slice = SampleWeights(weights_all.values[rows], weights_all.gamma)
-            x_batch = workspace.step_views(len(rows)).inputs
-            for x, batch_x in zip(train_ds.modalities, x_batch):
+            views = workspace.step_views(len(rows))
+            for x, batch_x in zip(train_ds.modalities, views.inputs):
                 np.copyto(batch_x, x[rows])  # take(out=) cannot cast float32 to float64
-            parts = step(
-                params,
-                centers,
-                x_batch,
-                labels[rows],
-                w_slice,
-                config,
-                opt_state,
-                epoch=epoch,
-                batch_index=batch_index,
-                workspace=workspace,
-            )
+            parts = step(params, centers, workspace, views, labels[rows], w_slice, config,
+                         opt_state, epoch=epoch, batch_index=batch_index)
             sums["total"] += parts["total"] * len(rows)
             sums["center"] += parts["center"] * len(rows)
             if parts["contrastive"] is not None:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from buffers import activations, gradients, loss_buffers
 from oracles import (
     central_difference_grads,
     max_relative_error,
@@ -181,13 +182,15 @@ def test_criterion_3_gradient_checks():
     worst = 0.0
     for _ in range(20):
         batch, centers, weights, cfg = random_case()
-        worst = max(worst, check(lambda bt: losses.chl_loss(bt, cfg), batch))
-        worst = max(worst, check(lambda bt: losses.cal_loss(bt, centers, cfg), batch))
-        worst = max(worst, check(lambda bt: losses.nsh_loss(bt, centers, weights, cfg), batch))
+        worst = max(worst, check(lambda bt: losses.chl_loss(bt, cfg, loss_buffers(bt)), batch))
+        worst = max(worst, check(
+            lambda bt: losses.cal_loss(bt, centers, cfg, loss_buffers(bt).grads), batch))
+        worst = max(worst, check(
+            lambda bt: losses.nsh_loss(bt, centers, weights, cfg, loss_buffers(bt).grads), batch))
         worst = max(
             worst,
-            check(lambda bt: objective(losses.total_loss(bt, centers, weights, cfg),
-                                       cfg), batch),
+            check(lambda bt: objective(losses.total_loss(bt, centers, weights, cfg,
+                                                         loss_buffers(bt)), cfg), batch),
         )
 
     for trial in range(20):
@@ -196,10 +199,12 @@ def test_criterion_3_gradient_checks():
         x = rng.normal(size=(5, 3))
         upstream = rng.normal(size=(5, 2))
         # the gradient vector shares the weights' layout, so the same views split it
-        grad = dataclasses.replace(params, flat=backward(mod, x, *forward(mod, x), upstream))
+        hidden, codes = forward(mod, x, activations(mod, x))
+        grad = dataclasses.replace(
+            params, flat=backward(mod, x, hidden, codes, upstream, *gradients(mod, 5)))
         g = grad.modalities[0]
         numeric = central_difference_grads(
-            lambda: float((upstream * encode(mod, x)).sum()),
+            lambda: float((upstream * encode(mod, x, activations(mod, x))).sum()),
             [mod.w1, mod.b1, mod.w2, mod.b2],
             step=1e-4,
         )
@@ -226,7 +231,7 @@ def test_criterion_4_probability_normalization_and_stability():
         probs = losses.center_probs(np.vstack(codes), centers, cfg.tau)
         finite &= bool(np.isfinite(probs).all())
         worst_center = max(worst_center, float(np.abs(probs.sum(axis=1) - 1.0).max()))
-        softmax, q = losses._instance_softmax(batch, cfg)
+        softmax, q, _ = losses._instance_softmax(batch, cfg, loss_buffers(batch))
         finite &= bool(np.isfinite(softmax).all() and np.isfinite(q).all())
         worst_instance = max(worst_instance, float(np.abs(softmax.sum(axis=1) - 1.0).max()))
     report(

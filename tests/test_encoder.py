@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from buffers import activations, gradients
 from oracles import central_difference_grads, max_relative_error
 from sphash.encoder import (
     HashEncoderParams,
@@ -29,29 +30,31 @@ def zero_params(d=3, hidden=4, code=2):
 
 class TestEncode:
     def test_zero_params_give_zero_codes(self):
-        codes = encode(zero_params(), np.ones((5, 3)))
+        x = np.ones((5, 3))
+        codes = encode(zero_params(), x, activations(zero_params(), x))
         assert np.array_equal(codes, np.zeros((5, 2)))
 
     def test_outputs_strictly_inside_unit_box(self):
         params = init_params((8,), 16, 6, seed=0).modalities[0]
         x = np.random.default_rng(1).normal(0, 50.0, size=(30, 8))
-        codes = encode(params, x)
+        codes = encode(params, x, activations(params, x))
         assert np.abs(codes).max() < 1.0
 
     def test_deterministic(self):
         params = init_params((4,), 8, 3, seed=5).modalities[0]
         x = np.random.default_rng(2).normal(size=(6, 4))
-        assert encode(params, x).tobytes() == encode(params, x).tobytes()
+        first = encode(params, x, activations(params, x))
+        assert first.tobytes() == encode(params, x, activations(params, x)).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            encode(zero_params(d=3), np.ones((2, 4)))
+            encode(zero_params(d=3), np.ones((2, 4)), activations(zero_params(), np.ones((2, 4))))
 
     def test_single_row_matches_batch(self):
         params = init_params((4,), 8, 3, seed=5).modalities[0]
         x = np.random.default_rng(3).normal(size=(6, 4))
-        batched = encode(params, x)
-        assert np.allclose(encode(params, x[2]), batched[2])
+        batched = encode(params, x, activations(params, x))
+        assert np.allclose(encode(params, x[2], activations(params, x[2])), batched[2])
 
 
 class TestBinarize:
@@ -127,7 +130,7 @@ class TestFlatLayout:
         params = init_params((4, 3), 5, 2, seed=2)
         x = np.ones((2, 4))
         params.flat[:] = 0.0
-        assert not encode(params.modalities[0], x).any()
+        assert not encode(params.modalities[0], x, activations(params.modalities[0], x)).any()
 
     def test_rejects_wrong_flat_length(self):
         with pytest.raises(ShapeError):
@@ -138,8 +141,8 @@ class TestForward:
     def test_codes_equal_encode_and_hidden_is_first_layer(self):
         mod = init_params((4,), 8, 3, seed=5).modalities[0]
         x = np.random.default_rng(7).normal(size=(6, 4))
-        hidden, codes = forward(mod, x)
-        assert codes.tobytes() == encode(mod, x).tobytes()
+        hidden, codes = forward(mod, x, activations(mod, x))
+        assert codes.tobytes() == encode(mod, x, activations(mod, x)).tobytes()
         assert hidden.tobytes() == np.tanh(x @ mod.w1 + mod.b1).tobytes()
 
 
@@ -153,15 +156,17 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         mod = init_params((3,), 4, 2, seed=0).modalities[0]
         x = np.ones((5, 3))
-        grads = backward(mod, x, *forward(mod, x), np.zeros((5, 2)))
+        grads = backward(mod, x, *forward(mod, x, activations(mod, x)), np.zeros((5, 2)),
+                         *gradients(mod, 5))
         assert not grads.any()
 
     def test_linear_in_upstream(self):
         mod = init_params((3,), 4, 2, seed=0).modalities[0]
         x = np.random.default_rng(4).normal(size=(5, 3))
         g = np.random.default_rng(5).normal(size=(5, 2))
-        single = backward(mod, x, *forward(mod, x), g)
-        double = backward(mod, x, *forward(mod, x), 2.0 * g)
+        single = backward(mod, x, *forward(mod, x, activations(mod, x)), g, *gradients(mod, 5))
+        double = backward(mod, x, *forward(mod, x, activations(mod, x)), 2.0 * g,
+                          *gradients(mod, 5))
         assert np.allclose(2.0 * single, double)
 
     def test_matches_central_differences(self):
@@ -172,9 +177,11 @@ class TestBackward:
             mod = params.modalities[0]
             x = rng.normal(size=(5, 3))
             upstream = np.ones((5, 2))
-            analytic = modality_grads(params, backward(mod, x, *forward(mod, x), upstream))
+            hidden, codes = forward(mod, x, activations(mod, x))
+            grad = backward(mod, x, hidden, codes, upstream, *gradients(mod, 5))
+            analytic = modality_grads(params, grad)
             numeric = central_difference_grads(
-                lambda: float(encode(mod, x).sum()),
+                lambda: float(encode(mod, x, activations(mod, x)).sum()),
                 [mod.w1, mod.b1, mod.w2, mod.b2],
                 step=1e-4,
             )
@@ -183,11 +190,11 @@ class TestBackward:
     def test_shape_mismatch(self):
         mod = init_params((3,), 4, 2, seed=0).modalities[0]
         x = np.ones((5, 3))
-        hidden, codes = forward(mod, x)
+        hidden, codes = forward(mod, x, activations(mod, x))
         with pytest.raises(ShapeError):
-            backward(mod, x, hidden, codes, np.zeros((5, 3)))
+            backward(mod, x, hidden, codes, np.zeros((5, 3)), *gradients(mod, 5))
         with pytest.raises(ShapeError):
-            backward(mod, x, hidden[:, :3], codes, np.zeros((5, 2)))
+            backward(mod, x, hidden[:, :3], codes, np.zeros((5, 2)), *gradients(mod, 5))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from buffers import activations
 from memory import traced_peak
 from sphash.data import SynthSpec, generate_synthetic
 from sphash.encoder import encode, init_centers, init_params
@@ -162,12 +163,13 @@ class TestCheckpoint:
         loaded2, centers2 = load_checkpoint(p2)
         # storage is float32; once quantized, save/load is the identity
         assert p1.read_bytes() == p2.read_bytes()
-        c1 = encode(loaded1.modalities[0], x)
-        c2 = encode(loaded2.modalities[0], x)
+        c1 = encode(loaded1.modalities[0], x, activations(loaded1.modalities[0], x))
+        c2 = encode(loaded2.modalities[0], x, activations(loaded2.modalities[0], x))
         assert c1.tobytes() == c2.tobytes()
         assert np.array_equal(centers1, centers)
         # and the quantized encoder stays close to the original
-        assert np.allclose(c1, encode(params.modalities[0], x), atol=1e-6)
+        original = encode(params.modalities[0], x, activations(params.modalities[0], x))
+        assert np.allclose(c1, original, atol=1e-6)
 
     def test_weight_block_is_per_array_f4_in_layout_order(self, tmp_path):
         params, centers = self.make()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from buffers import loss_buffers
 from oracles import (
     central_difference_grads,
     gce_reference,
@@ -39,7 +40,7 @@ def random_batch(rng, b=4, m=2, length=5, k=3, scale=0.95):
 
 def instance_prob(batch, i, m, cfg):
     """q of modality m's code of instance i, as chl_loss reads it from the softmax."""
-    _, q = _instance_softmax(batch, cfg)
+    _, q, _ = _instance_softmax(batch, cfg, loss_buffers(batch))
     return float(q[m * batch.batch_size + i])
 
 
@@ -118,7 +119,7 @@ class TestInstanceProb:
     def test_softmax_components_sum_to_one(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, b=5, m=3, length=4)
-        p, q = _instance_softmax(batch, LossConfig())
+        p, q, _ = _instance_softmax(batch, LossConfig(), loss_buffers(batch))
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-6
         assert (q > 0).all() and (q <= 1).all()
 
@@ -135,14 +136,14 @@ class TestChlLoss:
         # one instance, identical codes across modalities: q = 1 for every view
         code = np.array([[0.4, -0.7, 0.2]])
         batch = BatchCodes([code, code.copy(), code.copy()], np.array([[1]]))
-        value, grads = chl_loss(batch, LossConfig())
+        value, grads = chl_loss(batch, LossConfig(), loss_buffers(batch))
         assert value == 0.0
 
     def test_r_one_reduces_to_one_minus_q(self):
         rng = np.random.default_rng(3)
         batch = random_batch(rng, b=3, m=2, length=4)
         cfg = LossConfig(r=1.0)
-        value, _ = chl_loss(batch, cfg)
+        value, _ = chl_loss(batch, cfg, loss_buffers(batch))
         expected = 0.0
         for m in range(2):
             for i in range(3):
@@ -152,12 +153,12 @@ class TestChlLoss:
     def test_gradients(self):
         rng = np.random.default_rng(4)
         batch = random_batch(rng, b=3, m=2, length=4)
-        code_grad_check(lambda b: chl_loss(b, LossConfig(tau=0.7, r=0.5)), batch)
+        code_grad_check(lambda b: chl_loss(b, LossConfig(tau=0.7, r=0.5), loss_buffers(b)), batch)
 
     def test_gradients_flow_to_negatives(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, b=4, m=2, length=3)
-        _, grads = chl_loss(batch, LossConfig())
+        _, grads = chl_loss(batch, LossConfig(), loss_buffers(batch))
         # every batch row receives gradient through the shared denominator
         for g in grads:
             assert (np.abs(g).sum(axis=1) > 0).all()
@@ -165,10 +166,10 @@ class TestChlLoss:
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(24)
         batch = random_batch(rng, b=6, m=2, length=4)
-        value, _ = chl_loss(batch, LossConfig())
+        value, _ = chl_loss(batch, LossConfig(), loss_buffers(batch))
         perm = rng.permutation(6)
         shuffled = BatchCodes([c[perm] for c in batch.codes], batch.labels[perm])
-        value_p, _ = chl_loss(shuffled, LossConfig())
+        value_p, _ = chl_loss(shuffled, LossConfig(), loss_buffers(shuffled))
         assert np.isclose(value, value_p, atol=1e-12)
 
 
@@ -284,7 +285,7 @@ class TestCalLoss:
         centers = init_centers(3, 16, seed=9)
         codes = centers[[0, 2]].astype(np.float64) * 1e4
         batch = BatchCodes([codes, codes.copy()], one_hot(np.array([0, 2]), 3))
-        value, _ = cal_loss(batch, centers, LossConfig())
+        value, _ = cal_loss(batch, centers, LossConfig(), loss_buffers(batch).grads)
         assert value == 0.0
 
     def test_equals_mean_of_per_instance(self):
@@ -292,23 +293,24 @@ class TestCalLoss:
         batch = random_batch(rng, b=5, m=3, length=4, k=3)
         centers = init_centers(3, 4, seed=10)
         cfg = LossConfig(r=0.7)
-        value, _ = cal_loss(batch, centers, cfg)
+        value, _ = cal_loss(batch, centers, cfg, loss_buffers(batch).grads)
         assert np.isclose(value, per_instance_loss(batch, centers, cfg).mean(), atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
         batch = random_batch(rng, b=4, m=2, length=5, k=3)
         centers = init_centers(3, 5, seed=11)
-        code_grad_check(lambda b: cal_loss(b, centers, LossConfig(tau=0.6, r=0.5)), batch)
+        cfg = LossConfig(tau=0.6, r=0.5)
+        code_grad_check(lambda b: cal_loss(b, centers, cfg, loss_buffers(b).grads), batch)
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(14)
         batch = random_batch(rng, b=6, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=12)
-        value, _ = cal_loss(batch, centers, LossConfig())
+        value, _ = cal_loss(batch, centers, LossConfig(), loss_buffers(batch).grads)
         perm = rng.permutation(6)
         shuffled = BatchCodes([c[perm] for c in batch.codes], batch.labels[perm])
-        value_p, _ = cal_loss(shuffled, centers, LossConfig())
+        value_p, _ = cal_loss(shuffled, centers, LossConfig(), loss_buffers(shuffled).grads)
         assert np.isclose(value, value_p, atol=1e-12)
 
 
@@ -318,7 +320,7 @@ class TestNshLoss:
         batch = random_batch(rng, b=4, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=13)
         weights = SampleWeights(np.zeros(4), gamma=1.0)
-        value, grads = nsh_loss(batch, centers, weights, LossConfig())
+        value, grads = nsh_loss(batch, centers, weights, LossConfig(), loss_buffers(batch).grads)
         assert value == 0.0
         assert all(not g.any() for g in grads)
 
@@ -328,9 +330,9 @@ class TestNshLoss:
         centers = init_centers(3, 4, seed=14)
         cfg = LossConfig()
         gamma = 1.3
-        cal_value, cal_grads = cal_loss(batch, centers, cfg)
+        cal_value, cal_grads = cal_loss(batch, centers, cfg, loss_buffers(batch).grads)
         nsh_value, nsh_grads = nsh_loss(
-            batch, centers, SampleWeights(np.ones(5), gamma), cfg
+            batch, centers, SampleWeights(np.ones(5), gamma), cfg, loss_buffers(batch).grads
         )
         assert np.isclose(nsh_value, cal_value - gamma / 2.0, atol=1e-12)
         for a, b in zip(cal_grads, nsh_grads):
@@ -341,7 +343,9 @@ class TestNshLoss:
         batch = random_batch(rng, b=4, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=15)
         weights = SampleWeights(np.array([0.0, 0.25, 0.75, 1.0]), gamma=0.9)
-        code_grad_check(lambda b: nsh_loss(b, centers, weights, LossConfig()), batch)
+        code_grad_check(
+            lambda b: nsh_loss(b, centers, weights, LossConfig(), loss_buffers(b).grads), batch
+        )
 
     def test_weight_validation(self):
         rng = np.random.default_rng(18)
@@ -350,9 +354,10 @@ class TestNshLoss:
         good = SampleWeights(np.ones(3), gamma=1.0)
         good.values[0] = 1.5  # mutate after construction
         with pytest.raises(ParameterError):
-            nsh_loss(batch, centers, good, LossConfig())
+            nsh_loss(batch, centers, good, LossConfig(), loss_buffers(batch).grads)
         with pytest.raises(ShapeError):
-            nsh_loss(batch, centers, SampleWeights(np.ones(5), 1.0), LossConfig())
+            nsh_loss(batch, centers, SampleWeights(np.ones(5), 1.0), LossConfig(),
+                     loss_buffers(batch).grads)
 
 
 def objective(parts, cfg):
@@ -367,13 +372,13 @@ class TestTotalLoss:
         batch = random_batch(rng, b=4, m=2, length=4, k=3)
         centers = init_centers(3, 4, seed=17)
         cfg = LossConfig(alpha=0.0)
-        warm, contrastive, _ = total_loss(batch, centers, None, cfg)
+        warm, contrastive, _ = total_loss(batch, centers, None, cfg, loss_buffers(batch))
         assert contrastive is None
-        assert warm == cal_loss(batch, centers, cfg)[0]
+        assert warm == cal_loss(batch, centers, cfg, loss_buffers(batch).grads)[0]
         weights = SampleWeights(np.full(4, 0.5), gamma=1.1)
-        paced, contrastive, _ = total_loss(batch, centers, weights, cfg)
+        paced, contrastive, _ = total_loss(batch, centers, weights, cfg, loss_buffers(batch))
         assert contrastive is None
-        assert paced == nsh_loss(batch, centers, weights, cfg)[0]
+        assert paced == nsh_loss(batch, centers, weights, cfg, loss_buffers(batch).grads)[0]
 
     def test_parts_are_the_phase_kernels(self):
         rng = np.random.default_rng(24)
@@ -381,12 +386,12 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=22)
         cfg = LossConfig(alpha=0.3)
         weights = SampleWeights(np.array([0.0, 0.4, 1.0, 0.7]), gamma=1.2)
-        contrastive, c_grads = chl_loss(batch, cfg)
+        contrastive, c_grads = chl_loss(batch, cfg, loss_buffers(batch))
         for phase_weights, (center, grads) in (
-            (None, cal_loss(batch, centers, cfg)),
-            (weights, nsh_loss(batch, centers, weights, cfg)),
+            (None, cal_loss(batch, centers, cfg, loss_buffers(batch).grads)),
+            (weights, nsh_loss(batch, centers, weights, cfg, loss_buffers(batch).grads)),
         ):
-            parts = total_loss(batch, centers, phase_weights, cfg)
+            parts = total_loss(batch, centers, phase_weights, cfg, loss_buffers(batch))
             assert parts[:2] == (center, contrastive)
             for got, g, cg in zip(parts[2], grads, c_grads):
                 assert got.tobytes() == (g + cfg.alpha * cg).tobytes()
@@ -397,9 +402,10 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=18)
         cfg = LossConfig(alpha=0.7)
         gamma = 1.4
-        warm, _ = objective(total_loss(batch, centers, None, cfg), cfg)
+        warm, _ = objective(total_loss(batch, centers, None, cfg, loss_buffers(batch)), cfg)
         paced, _ = objective(
-            total_loss(batch, centers, SampleWeights(np.ones(4), gamma), cfg), cfg
+            total_loss(batch, centers, SampleWeights(np.ones(4), gamma), cfg, loss_buffers(batch)),
+            cfg,
         )
         assert np.isclose(warm - paced, gamma / 2.0, atol=1e-12)
 
@@ -409,7 +415,9 @@ class TestTotalLoss:
         centers = init_centers(3, 4, seed=19)
         cfg = LossConfig(alpha=1.2, tau=0.6)
         weights = SampleWeights(np.array([0.2, 0.8, 1.0]), gamma=1.0)
-        code_grad_check(lambda b: objective(total_loss(b, centers, None, cfg), cfg), batch)
         code_grad_check(
-            lambda b: objective(total_loss(b, centers, weights, cfg), cfg), batch
+            lambda b: objective(total_loss(b, centers, None, cfg, loss_buffers(b)), cfg), batch
+        )
+        code_grad_check(
+            lambda b: objective(total_loss(b, centers, weights, cfg, loss_buffers(b)), cfg), batch
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buffers import loss_buffers
 from oracles import grid_argmin_weight, grid_max_instance_loss
 from sphash.data import one_hot
 from sphash.encoder import init_centers
@@ -37,7 +38,8 @@ def regularizer(w: float, gamma: float) -> float:
     centers = init_centers(2, 4, seed=0)
     codes = 1e3 * centers[:1]
     batch = BatchCodes([codes, codes], one_hot(np.array([0]), 2))
-    value, grads = nsh_loss(batch, centers, SampleWeights(np.array([w]), gamma), LossConfig())
+    value, grads = nsh_loss(batch, centers, SampleWeights(np.array([w]), gamma), LossConfig(),
+                            loss_buffers(batch).grads)
     assert not any(g.any() for g in grads)
     return value
 

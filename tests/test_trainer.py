@@ -1,12 +1,16 @@
 import copy
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
+from buffers import step_buffers, update_scratch
 from memory import traced_peak
 from oracles import NestedOptimizer, encode_reference
+import sphash.encoder as encoder_module
 import sphash.fileio as fileio
+import sphash.losses as losses_module
 import sphash.trainer as trainer_module
 from sphash.data import MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import init_centers, init_params
@@ -128,7 +132,7 @@ class TestOptimizer:
         for _ in range(25):
             grad = rng.normal(size=params.flat.shape) * rng.uniform(0.01, 10.0)
             assert grad.all()
-            flat_opt.apply(params, grad, 0.05)
+            flat_opt.apply(params, grad, 0.05, update_scratch(params))
             ref_opt.apply(nested, split_like(grad, nested), 0.05)
             reference = np.concatenate([a.ravel() for mod in nested for a in mod])
             assert params.flat.tobytes() == reference.tobytes()
@@ -151,7 +155,7 @@ class TestStep:
         cfg = tiny_config(learning_rate=0.0)
         opt = _OptimizerState(cfg.optimizer, params)
         before = params.flat.copy()
-        step(params, centers, x, y, None, cfg, opt)
+        step(params, centers, *step_buffers(params, x), y, None, cfg, opt)
         assert np.array_equal(before, params.flat)
 
     def test_identical_states_give_identical_updates(self):
@@ -160,8 +164,8 @@ class TestStep:
         cfg = tiny_config()
         opt1 = _OptimizerState(cfg.optimizer, params1)
         opt2 = _OptimizerState(cfg.optimizer, params2)
-        r1 = step(params1, centers, x, y, None, cfg, opt1)
-        r2 = step(params2, centers, x, y, None, cfg, opt2)
+        r1 = step(params1, centers, *step_buffers(params1, x), y, None, cfg, opt1)
+        r2 = step(params2, centers, *step_buffers(params2, x), y, None, cfg, opt2)
         assert r1 == r2
         assert params1.flat.tobytes() == params2.flat.tobytes()
 
@@ -171,7 +175,7 @@ class TestStep:
         opt = _OptimizerState("sgd", params)
         weights = SampleWeights(np.zeros(x[0].shape[0]), gamma=1.0)
         before = params.flat.copy()
-        step(params, centers, x, y, weights, cfg, opt)
+        step(params, centers, *step_buffers(params, x), y, weights, cfg, opt)
         assert np.array_equal(before, params.flat)
 
     def test_zero_weight_instance_contributes_no_data_gradient(self):
@@ -182,11 +186,12 @@ class TestStep:
         cfg = tiny_config(optimizer="sgd", learning_rate=1.0, loss=LossConfig(alpha=0.0))
         w_full = SampleWeights(np.array([0.0, 0.7, 1.0, 0.2, 0.5, 0.9]), gamma=1.0)
         w_drop = SampleWeights(w_full.values[1:], gamma=1.0)
-        step(params1, centers, x, y, w_full, cfg, _OptimizerState("sgd", params1))
+        step(params1, centers, *step_buffers(params1, x), y, w_full, cfg,
+             _OptimizerState("sgd", params1))
         step(
             params2,
             centers,
-            [xm[1:] for xm in x],
+            *step_buffers(params2, [xm[1:] for xm in x]),
             y[1:],
             w_drop,
             cfg,
@@ -203,7 +208,8 @@ class TestStep:
         cfg = tiny_config()
         opt = _OptimizerState(cfg.optimizer, params)
         with pytest.raises(TrainingDivergedError) as err:
-            step(params, centers, x, y, None, cfg, opt, epoch=4, batch_index=2)
+            step(params, centers, *step_buffers(params, x), y, None, cfg, opt, epoch=4,
+                 batch_index=2)
         assert err.value.epoch == 4
         assert err.value.batch == 2
 
@@ -219,21 +225,41 @@ class TestStep:
         y = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, 128)]
         weights = SampleWeights(rng.uniform(0, 1, 128), gamma=1.0)
         cfg = resolve_config(TrainConfig(code_length=128, hidden_dim=256, batch_size=128), 2)
-        opt, workspace = _OptimizerState(cfg.optimizer, params), _Workspace(params, 128)
-        step(params, centers, x, y, weights, cfg, opt, workspace=workspace)
-        peak = traced_peak(lambda: step(params, centers, x, y, weights, cfg, opt,
-                                        workspace=workspace))
+        opt, (workspace, views) = _OptimizerState(cfg.optimizer, params), step_buffers(params, x)
+        step(params, centers, workspace, views, y, weights, cfg, opt)
+        peak = traced_peak(lambda: step(params, centers, workspace, views, y, weights, cfg, opt))
         assert peak < 128 * 1024
 
     def test_shorter_batch_reuses_the_workspace_bit_for_bit(self):
         params1, centers, x, y = step_inputs(batch_size=5)
         params2 = copy.deepcopy(params1)
         cfg = tiny_config()
-        workspace = _Workspace(params1, 9)
-        step(params1, centers, x, y, None, cfg, _OptimizerState(cfg.optimizer, params1),
-             workspace=workspace)
-        step(params2, centers, x, y, None, cfg, _OptimizerState(cfg.optimizer, params2))
+        step(params1, centers, *step_buffers(params1, x, capacity=9), y, None, cfg,
+             _OptimizerState(cfg.optimizer, params1))
+        step(params2, centers, *step_buffers(params2, x), y, None, cfg,
+             _OptimizerState(cfg.optimizer, params2))
         assert params1.flat.tobytes() == params2.flat.tobytes()
+
+
+@pytest.mark.parametrize("function, names", [
+    (encoder_module.forward, ("out",)),
+    (encoder_module.encode, ("out",)),
+    (encoder_module.backward, ("out", "scratch")),
+    (losses_module._instance_softmax, ("buffers",)),
+    (losses_module.chl_loss, ("buffers",)),
+    (losses_module.total_loss, ("buffers",)),
+    (losses_module._weighted_center_loss, ("out",)),
+    (losses_module.cal_loss, ("out",)),
+    (losses_module.nsh_loss, ("out",)),
+    (step, ("workspace",)),
+    (_full_train_losses, ("workspace",)),
+    (_OptimizerState.apply, ("scratch",)),
+])
+def test_training_path_buffers_are_required(function, names):
+    # one code path per function: no buffer may default to a fresh allocation
+    parameters = inspect.signature(function).parameters
+    for name in names:
+        assert parameters[name].default is inspect.Parameter.empty, f"{function.__name__}({name})"
 
 
 def test_diverged_error_survives_pickle_and_copy():
