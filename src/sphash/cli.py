@@ -199,10 +199,10 @@ def _synth_spec(args) -> SynthSpec:
     )
 
 
-def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path) -> Path:
+def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path):
     """Synthesize spec's dataset, corrupt its train split's labels and write it to out.
 
-    Returns the manifest path.
+    Returns (dataset, split record) as ``read_dataset`` reads them back from out.
     """
     dataset = generate_synthetic(spec)
     split_record = (args.train_frac, args.val_frac, spec.seed)
@@ -210,7 +210,8 @@ def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path) -> Pat
     noised = inject_noise_subset(
         dataset, train_rows, noise_rate, stable_seed(spec.seed, "train-noise")
     )
-    return write_dataset(noised, out, split_record)
+    write_dataset(noised, out, split_record)
+    return noised, split_record
 
 
 def cmd_gen_data(args) -> int:
@@ -415,7 +416,7 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
               cell_dir: Path):
     """gen-data + train + test-split MAP for one sweep cell, spec and config reseeded."""
     spec, config = dataclasses.replace(spec, seed=seed), dataclasses.replace(config, seed=seed)
-    dataset, split_record = read_dataset(_write_synthetic(args, spec, noise, cell_dir / "data"))
+    dataset, split_record = _write_synthetic(args, spec, noise, cell_dir / "data")
     train_ds, val_ds, test_ds = split(dataset, *split_record)
     del dataset
     _run_training(train_ds, val_ds, config, cell_dir / "train")

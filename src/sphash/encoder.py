@@ -121,8 +121,12 @@ def forward(
 
 
 def encode(mod: ModalityParams, x: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2), in out as ``forward`` computes them;
-    rows map independently."""
+    """Relaxed codes tanh(tanh(x W1 + b1) W2 + b2), in out as ``forward`` computes them.
+
+    A row's codes depend on no other row's values, but their last bits may depend
+    on how many rows one call encodes: the BLAS kernel of a product varies with
+    its shape. Bit-for-bit results need the same chunking.
+    """
     return forward(mod, x, out)[1]
 
 

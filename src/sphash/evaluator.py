@@ -48,6 +48,10 @@ class RetrievalTask:
             )
         if self.query_codes.shape[0] == 0 or self.gallery_codes.shape[0] == 0:
             raise ShapeError("need at least one query and one gallery item")
+        if self.query_labels.ndim != 2 or self.gallery_labels.ndim != 2:
+            raise ShapeError("labels must be 2-d matrices")
+        if self.query_labels.shape[1] != self.gallery_labels.shape[1]:
+            raise ShapeError("query and gallery labels differ in class count")
         if self.query_labels.shape[0] != self.query_codes.shape[0]:
             raise ShapeError("query labels do not match query codes")
         if self.gallery_labels.shape[0] != self.gallery_codes.shape[0]:

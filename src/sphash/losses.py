@@ -27,7 +27,7 @@ are constants during backprop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,26 +65,28 @@ class LossConfig:
 
 @dataclass
 class BatchCodes:
-    """Relaxed codes of one mini-batch, one (B, L) matrix per modality."""
+    """Relaxed codes of one mini-batch: one (M*B, L) matrix, modality m in rows m*B..(m+1)*B.
 
-    codes: list[np.ndarray]
+    B is the label rows and M the code rows over B. ``codes`` holds each
+    modality's (B, L) block as a view of ``stacked``.
+    """
+
+    stacked: np.ndarray
     labels: np.ndarray
+    codes: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.codes = [np.asarray(c, dtype=np.float64) for c in self.codes]
+        self.stacked = np.asarray(self.stacked, dtype=np.float64)
         self.labels = np.asarray(self.labels)
-        if not self.codes:
-            raise ShapeError("batch needs at least one modality")
-        b, l = self.codes[0].shape
-        for i, c in enumerate(self.codes):
-            if c.shape != (b, l):
-                raise ShapeError(f"modality {i} codes {c.shape} != {(b, l)}")
-        if self.labels.shape[0] != b:
-            raise ShapeError(f"labels rows {self.labels.shape[0]} != batch size {b}")
+        rows, b = len(self.stacked), len(self.labels)
+        if self.stacked.ndim != 2 or self.labels.ndim != 2 or not b or not rows or rows % b:
+            raise ShapeError(f"codes {self.stacked.shape} are not a positive multiple "
+                             f"of the rows of labels {self.labels.shape}")
+        self.codes = [self.stacked[start : start + b] for start in range(0, rows, b)]
 
     @property
     def batch_size(self) -> int:
-        return self.codes[0].shape[0]
+        return len(self.labels)
 
     @property
     def n_modalities(self) -> int:
@@ -113,15 +115,12 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossBuffers:
-    """The arrays one mini-batch's objective is computed in: M modalities, B rows, L bits.
+    """The scratch one mini-batch's objective is computed in: M modalities, B rows, L bits.
 
-    ``codes`` holds the batch's codes, modality m in rows m*B..(m+1)*B, and a
-    BatchCodes passed with these buffers must hold exactly those row blocks.
     ``total_loss`` leaves the objective's code gradients in ``grads``, laid out
-    the same way; the other three are the contrastive term's.
+    like ``BatchCodes.stacked``; the other three are the contrastive term's.
     """
 
-    codes: np.ndarray        # (M*B, L)
     grads: np.ndarray        # (M*B, L)
     contrastive: np.ndarray  # (M*B, L), the contrastive term's code gradients
     softmax: np.ndarray      # (M*B, M*B), then the gradient of the logits
@@ -131,7 +130,7 @@ class LossBuffers:
     def shapes(n_modalities: int, batch_size: int, code_length: int) -> tuple:
         """The fields' shapes, in field order."""
         rows = n_modalities * batch_size
-        return ((rows, code_length),) * 3 + ((rows, rows),) * 2
+        return ((rows, code_length),) * 2 + ((rows, rows),) * 2
 
 
 def _positives(n_rows: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +152,7 @@ def _instance_softmax(batch: BatchCodes, cfg: LossConfig, buffers: LossBuffers):
     bit-equal to a row sum of P masked to those targets: every other term of
     that sum is an exact 0.0.
     """
-    p = np.matmul(buffers.codes, buffers.codes.T, out=buffers.softmax)
+    p = np.matmul(batch.stacked, batch.stacked.T, out=buffers.softmax)
     p /= cfg.tau
     _row_softmax(p)
     positives = _positives(len(p), batch.batch_size)
@@ -181,7 +180,7 @@ def chl_loss(
     p *= (0.0 - q)[:, None]  # not -q: keeps the sign of a zero
     p[positives] = at_positives * (1.0 - q)[:, None]
     g_sym = np.add(p, p.T, out=buffers.symmetric)
-    grad_stacked = np.matmul(g_sym, buffers.codes, out=buffers.contrastive)
+    grad_stacked = np.matmul(g_sym, batch.stacked, out=buffers.contrastive)
     grad_stacked /= cfg.tau
     return value, [grad_stacked[m * b : (m + 1) * b] for m in range(batch.n_modalities)]
 
@@ -218,7 +217,7 @@ def _weighted_center_loss(
     """Value and code gradients of (1/B) sum_i scale_i * loss_i.
 
     The gradients are written into out, an (M*B, L) array laid out like
-    ``LossBuffers.grads``, and returned as its row blocks.
+    ``BatchCodes.stacked``, and returned as its row blocks.
     """
     b = batch.batch_size
     probs, labels, v = _aggregation_matrix(batch, centers, cfg)

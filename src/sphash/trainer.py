@@ -54,7 +54,7 @@ from .encoder import (
     init_centers,
     init_params,
 )
-from .errors import ParameterError, ShapeError, TrainingDivergedError
+from .errors import ParameterError, TrainingDivergedError
 from .fileio import write_csv, write_weight_log
 from .losses import BatchCodes, LossBuffers, LossConfig
 from .pacer import PaceSchedule, SampleWeights
@@ -65,6 +65,8 @@ OPTIMIZERS = ("sgd", "adaptive_moments")
 WARMUP = "warmup"
 SELFPACED = "selfpaced"
 
+# rows per refresh or encoding chunk; a product's last bits depend on its row count
+# (``encoder.encode``), so this and a split's short last chunk fix the artifacts' bytes
 _REFRESH_CHUNK = 1024
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -203,7 +205,8 @@ class _StepViews:
 
     inputs: list[np.ndarray]  # (B, d_m) per modality: the batch's features
     hidden: list[np.ndarray]  # (B, hidden) per modality
-    loss: LossBuffers         # codes, code gradients and contrastive scratch
+    codes: np.ndarray         # (M*B, L): the batch's codes, laid out as BatchCodes.stacked
+    loss: LossBuffers         # code gradients and contrastive scratch
     scratch: np.ndarray       # backward's intermediates, shared by the modalities
 
 
@@ -237,21 +240,22 @@ class _Workspace:
 
     def _step_shapes(self, rows: int) -> list[tuple]:
         h, l, m = self.hidden_dim, self.code_length, len(self.dims)
-        return [*((rows, d) for d in self.dims), *[(rows, h)] * m,
+        return [*((rows, d) for d in self.dims), *[(rows, h)] * m, (m * rows, l),
                 *LossBuffers.shapes(m, rows, l), (backward_scratch_size(rows, h, l),)]
 
     def _refresh_shapes(self, rows: int) -> list[tuple]:
-        return [(rows, self.hidden_dim)] + [(rows, self.code_length)] * len(self.dims)
+        return [(rows, self.hidden_dim), (len(self.dims) * rows, self.code_length)]
 
     def step_views(self, rows: int) -> _StepViews:
         m = len(self.dims)
         views = carve(self.arena, *self._step_shapes(rows))
-        return _StepViews(views[:m], views[m : 2 * m], LossBuffers(*views[2 * m : -1]), views[-1])
+        return _StepViews(views[:m], views[m : 2 * m], views[2 * m],
+                          LossBuffers(*views[2 * m + 1 : -1]), views[-1])
 
-    def refresh_views(self, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """A chunk's hidden activations, which the modalities take in turn, and codes per modality."""
-        hidden, *codes = carve(self.arena, *self._refresh_shapes(rows))
-        return hidden, codes
+    def refresh_views(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """A chunk's hidden activations, which the modalities take in turn, and its
+        codes, laid out as ``BatchCodes.stacked``."""
+        return tuple(carve(self.arena, *self._refresh_shapes(rows)))
 
 
 def step(
@@ -276,14 +280,9 @@ def step(
     step allocates only small vectors.
     """
     mods = params.modalities
-    rows = len(views.hidden[0])
-    if rows == 0:
-        raise ShapeError("empty batch")
-
-    codes = [views.loss.codes[m * rows : (m + 1) * rows] for m in range(len(mods))]
-    for mod, x, hidden, out in zip(mods, views.inputs, views.hidden, codes):
+    batch = BatchCodes(views.codes, y_batch)  # ShapeError for an empty batch
+    for mod, x, hidden, out in zip(mods, views.inputs, views.hidden, batch.codes):
         forward(mod, x, (hidden, out))
-    batch = BatchCodes(codes, y_batch)
     center, contrastive, code_grads = losses.total_loss(
         batch, centers, weights, config.loss, views.loss
     )
@@ -294,7 +293,7 @@ def step(
         )
 
     for mod, x, hidden, out, g, grad in zip(
-        mods, views.inputs, views.hidden, codes, code_grads, workspace.grad_blocks
+        mods, views.inputs, views.hidden, batch.codes, code_grads, workspace.grad_blocks
     ):
         backward(mod, x, hidden, out, g, grad, views.scratch)
     opt_state.apply(params, workspace.grad, config.learning_rate, workspace.update_scratch)
@@ -315,11 +314,10 @@ def _full_train_losses(
     for start in range(0, n, _REFRESH_CHUNK):
         stop = min(start + _REFRESH_CHUNK, n)
         hidden, codes = workspace.refresh_views(stop - start)
-        for mod, x, mod_codes in zip(params.modalities, x_all, codes):
+        batch = BatchCodes(codes, labels[start:stop])
+        for mod, x, mod_codes in zip(params.modalities, x_all, batch.codes):
             forward(mod, x[start:stop], (hidden, mod_codes))
-        out[start:stop] = losses.per_instance_loss(
-            BatchCodes(codes, labels[start:stop]), centers, cfg
-        )
+        out[start:stop] = losses.per_instance_loss(batch, centers, cfg)
     if not np.all(np.isfinite(out)):
         raise TrainingDivergedError(f"non-finite instance loss at epoch {epoch}", epoch, -1)
     return out
@@ -358,8 +356,9 @@ def _validation_map(
     Relevance uses only the validation split's own labels (ground-truth ones
     under clean_val), so model selection never peeks at train-split truth.
     """
-    hidden, relaxed = workspace.refresh_views(min(_REFRESH_CHUNK, val_ds.n))
-    codes = binary_codes(params, val_ds, (hidden, relaxed[0]))
+    rows = min(_REFRESH_CHUNK, val_ds.n)
+    hidden, relaxed = workspace.refresh_views(rows)
+    codes = binary_codes(params, val_ds, (hidden, relaxed[:rows]))
     labels = val_ds.true_labels if clean_val else val_ds.labels
     i2t, t2i = evaluator.cross_modal_tasks(codes, labels, codes, labels)
     return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)

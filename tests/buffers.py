@@ -26,11 +26,9 @@ def gradients(mod, rows):
 
 
 def loss_buffers(batch):
-    """LossBuffers for a BatchCodes, with its codes copied in."""
-    shapes = LossBuffers.shapes(batch.n_modalities, batch.batch_size, batch.codes[0].shape[1])
-    buffers = LossBuffers(*map(np.empty, shapes))
-    np.concatenate(batch.codes, out=buffers.codes)
-    return buffers
+    """Fresh LossBuffers for a BatchCodes."""
+    shapes = LossBuffers.shapes(batch.n_modalities, batch.batch_size, batch.stacked.shape[1])
+    return LossBuffers(*map(np.empty, shapes))
 
 
 def step_buffers(params, x_batch, capacity=None):

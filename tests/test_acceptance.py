@@ -132,7 +132,8 @@ def test_criterion_2_per_instance_loss_bounds():
                 codes = [scale * rng.uniform(-1, 1, (batch_size, 8)) for _ in range(m)]
                 labels = one_hot(rng.integers(0, 5, batch_size), 5)
                 centers = init_centers(5, 8, seed=int(rng.integers(1 << 30)))
-                values = losses.per_instance_loss(BatchCodes(codes, labels), centers, cfg)
+                values = losses.per_instance_loss(BatchCodes(np.concatenate(codes), labels),
+                                                   centers, cfg)
                 checked += batch_size
                 bound_ok &= bool((values >= 0.0).all() and (values <= upper + 1e-9).all())
             # the bound is attained: grid over v in [0,1]^M through the library transform
@@ -163,7 +164,7 @@ def test_criterion_3_gradient_checks():
             alpha=float(rng.uniform(0.1, 2.0)),
         )
         batch = BatchCodes(
-            [rng.uniform(-0.95, 0.95, (b, length)) for _ in range(m)],
+            np.concatenate([rng.uniform(-0.95, 0.95, (b, length)) for _ in range(m)]),
             one_hot(rng.integers(0, k, b), k),
         )
         centers = init_centers(k, length, seed=int(rng.integers(1 << 30)))
@@ -226,7 +227,7 @@ def test_criterion_4_probability_normalization_and_stability():
     for scale in (1.0, 100.0, 625.0):  # |logit| up to 16 * 625 = 1e4 at tau = 1
         cfg = LossConfig(tau=1.0)
         codes = [scale * rng.choice([-1.0, 1.0], (6, 16)) for _ in range(2)]
-        batch = BatchCodes(codes, one_hot(rng.integers(0, 4, 6), 4))
+        batch = BatchCodes(np.concatenate(codes), one_hot(rng.integers(0, 4, 6), 4))
         centers = init_centers(4, 16, seed=9)
         probs = losses.center_probs(np.vstack(codes), centers, cfg.tau)
         finite &= bool(np.isfinite(probs).all())

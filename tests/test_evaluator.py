@@ -131,6 +131,14 @@ class TestHammingDistance:
             RetrievalTask(np.ones((1, 3), dtype=np.int8), np.ones((1, 1), dtype=np.uint8),
                           np.ones((1, 4), dtype=np.int8), np.ones((1, 1), dtype=np.uint8))
 
+    @pytest.mark.parametrize("query_labels", [np.ones((2, 4), dtype=np.uint8),
+                                              np.ones(2, dtype=np.uint8)])
+    def test_labels_the_ranking_cannot_compare(self, query_labels):
+        # 4 classes against 3, or a 1-d label vector: rejected before any ranking
+        codes = np.ones((2, 8), dtype=np.int8)
+        with pytest.raises(ShapeError):
+            RetrievalTask(codes, query_labels, codes, np.ones((2, 3), dtype=np.uint8))
+
     @settings(max_examples=50, deadline=None)
     @given(codes=pm_codes)
     def test_metric_properties(self, codes):

@@ -35,7 +35,7 @@ Q_TWO_POINT_CASE = 0.9623121094913941
 def random_batch(rng, b=4, m=2, length=5, k=3, scale=0.95):
     codes = [rng.uniform(-scale, scale, (b, length)) for _ in range(m)]
     labels = one_hot(rng.integers(0, k, b), k)
-    return BatchCodes(codes, labels)
+    return BatchCodes(np.concatenate(codes), labels)
 
 
 def instance_prob(batch, i, m, cfg):
@@ -50,7 +50,7 @@ def center_prob(code, centers, k, cfg):
 
 def aggregation_prob(code, centers, label_row, cfg):
     """v = y . p read back from per_instance_loss: at r = 1 its one term is 1 - v."""
-    batch = BatchCodes([np.atleast_2d(code)], np.atleast_2d(label_row))
+    batch = BatchCodes(np.atleast_2d(code), np.atleast_2d(label_row))
     return 1.0 - float(per_instance_loss(batch, centers, dataclasses.replace(cfg, r=1.0))[0])
 
 
@@ -61,6 +61,21 @@ def code_grad_check(fn, batch, tolerance=1e-4):
         lambda: fn(batch)[0], batch.codes, step=1e-4
     )
     assert max_relative_error(analytic, numeric) < tolerance
+
+
+class TestBatchCodes:
+    def test_modality_blocks_are_views_of_the_stacked_matrix(self):
+        batch = BatchCodes(np.arange(12.0).reshape(6, 2), np.eye(2, dtype=np.uint8))
+        assert (batch.batch_size, batch.n_modalities) == (2, 3)
+        assert all(np.shares_memory(codes, batch.stacked) for codes in batch.codes)
+        assert batch.codes[1].tolist() == [[4.0, 5.0], [6.0, 7.0]]
+
+    @pytest.mark.parametrize("rows, labels", [
+        (5, np.eye(2)), (0, np.eye(2)), (0, np.zeros((0, 2))), (2, np.ones(2)),
+    ])
+    def test_rows_not_a_positive_multiple_of_the_label_rows(self, rows, labels):
+        with pytest.raises(ShapeError):
+            BatchCodes(np.zeros((rows, 3)), labels)
 
 
 class TestLossConfig:
@@ -104,12 +119,12 @@ class TestGceTransform:
 
 class TestInstanceProb:
     def test_single_element_batch_is_one(self):
-        batch = BatchCodes([np.array([[0.5, -0.3]])], np.array([[1]]))
+        batch = BatchCodes(np.array([[0.5, -0.3]]), np.array([[1]]))
         assert instance_prob(batch, 0, 0, LossConfig()) == 1.0
 
     def test_two_point_scalar_case(self):
         batch = BatchCodes(
-            [np.array([[0.9, 0.9], [-0.9, -0.9]])], np.eye(2, dtype=np.uint8)
+            np.array([[0.9, 0.9], [-0.9, -0.9]]), np.eye(2, dtype=np.uint8)
         )
         q = instance_prob(batch, 0, 0, LossConfig(tau=1.0))
         expected = np.exp(1.62) / (np.exp(1.62) + np.exp(-1.62))
@@ -126,7 +141,7 @@ class TestInstanceProb:
     def test_stable_under_huge_logits(self):
         # logits up to 1e4 in magnitude: tau=1e-3 with codes near +-1
         codes = [np.array([[1.0] * 10, [-1.0] * 10])]
-        batch = BatchCodes(codes, np.eye(2, dtype=np.uint8))
+        batch = BatchCodes(np.concatenate(codes), np.eye(2, dtype=np.uint8))
         q = instance_prob(batch, 0, 0, LossConfig(tau=1e-3))
         assert np.isfinite(q) and 0.0 <= q <= 1.0
 
@@ -135,7 +150,7 @@ class TestChlLoss:
     def test_zero_when_match_probability_is_one(self):
         # one instance, identical codes across modalities: q = 1 for every view
         code = np.array([[0.4, -0.7, 0.2]])
-        batch = BatchCodes([code, code.copy(), code.copy()], np.array([[1]]))
+        batch = BatchCodes(np.concatenate([code, code, code]), np.array([[1]]))
         value, grads = chl_loss(batch, LossConfig(), loss_buffers(batch))
         assert value == 0.0
 
@@ -168,7 +183,7 @@ class TestChlLoss:
         batch = random_batch(rng, b=6, m=2, length=4)
         value, _ = chl_loss(batch, LossConfig(), loss_buffers(batch))
         perm = rng.permutation(6)
-        shuffled = BatchCodes([c[perm] for c in batch.codes], batch.labels[perm])
+        shuffled = BatchCodes(np.concatenate([c[perm] for c in batch.codes]), batch.labels[perm])
         value_p, _ = chl_loss(shuffled, LossConfig(), loss_buffers(shuffled))
         assert np.isclose(value, value_p, atol=1e-12)
 
@@ -231,7 +246,7 @@ class TestAggregationProb:
 
     def test_empty_label_row_rejected(self):
         centers = init_centers(3, 4, seed=6)
-        batch = BatchCodes([np.zeros((1, 4))], np.zeros((1, 3)))
+        batch = BatchCodes(np.zeros((1, 4)), np.zeros((1, 3)))
         with pytest.raises(LabelError):
             per_instance_loss(batch, centers, LossConfig())
 
@@ -242,7 +257,7 @@ class TestPerInstanceLoss:
         centers = init_centers(3, 16, seed=7)
         code = centers[1].astype(np.float64) * 1e4
         batch = BatchCodes(
-            [code[None, :], code[None, :]], np.array([[0, 1, 0]])
+            np.concatenate([code[None, :], code[None, :]]), np.array([[0, 1, 0]])
         )
         losses = per_instance_loss(batch, centers, LossConfig())
         assert losses[0] == 0.0
@@ -262,7 +277,7 @@ class TestPerInstanceLoss:
                 cfg = LossConfig(r=r)
                 codes = [rng.uniform(-1, 1, (8, 6)) * rng.uniform(0, 100) for _ in range(m)]
                 labels = one_hot(rng.integers(0, 4, 8), 4)
-                batch = BatchCodes(codes, labels)
+                batch = BatchCodes(np.concatenate(codes), labels)
                 centers = init_centers(4, 6, seed=int(rng.integers(0, 100)))
                 losses = per_instance_loss(batch, centers, cfg)
                 upper = m * (r * r - r + 1.0) / r
@@ -276,7 +291,7 @@ class TestPerInstanceLoss:
         cfg = LossConfig()
         base = per_instance_loss(batch, centers, cfg)
         perm = rng.permutation(6)
-        shuffled = BatchCodes([c[perm] for c in batch.codes], batch.labels[perm])
+        shuffled = BatchCodes(np.concatenate([c[perm] for c in batch.codes]), batch.labels[perm])
         assert np.allclose(per_instance_loss(shuffled, centers, cfg), base[perm], atol=1e-12)
 
 
@@ -284,7 +299,7 @@ class TestCalLoss:
     def test_zero_at_perfect_aggregation(self):
         centers = init_centers(3, 16, seed=9)
         codes = centers[[0, 2]].astype(np.float64) * 1e4
-        batch = BatchCodes([codes, codes.copy()], one_hot(np.array([0, 2]), 3))
+        batch = BatchCodes(np.concatenate([codes, codes]), one_hot(np.array([0, 2]), 3))
         value, _ = cal_loss(batch, centers, LossConfig(), loss_buffers(batch).grads)
         assert value == 0.0
 
@@ -309,7 +324,7 @@ class TestCalLoss:
         centers = init_centers(3, 4, seed=12)
         value, _ = cal_loss(batch, centers, LossConfig(), loss_buffers(batch).grads)
         perm = rng.permutation(6)
-        shuffled = BatchCodes([c[perm] for c in batch.codes], batch.labels[perm])
+        shuffled = BatchCodes(np.concatenate([c[perm] for c in batch.codes]), batch.labels[perm])
         value_p, _ = cal_loss(shuffled, centers, LossConfig(), loss_buffers(shuffled).grads)
         assert np.isclose(value, value_p, atol=1e-12)
 
@@ -395,6 +410,31 @@ class TestTotalLoss:
             assert parts[:2] == (center, contrastive)
             for got, g, cg in zip(parts[2], grads, c_grads):
                 assert got.tobytes() == (g + cfg.alpha * cg).tobytes()
+
+    def test_scores_the_batch_whatever_its_buffers_held(self):
+        # the buffers are scratch: values left in them, another batch's codes
+        # among them, change no bit of a value or a code gradient
+        rng = np.random.default_rng(25)
+        batch = random_batch(rng, b=4, m=2, length=5, k=3)
+        centers = init_centers(3, 5, seed=23)
+        cfg = LossConfig(alpha=0.3)
+        weights = SampleWeights(np.array([0.0, 0.4, 1.0, 0.7]), gamma=1.2)
+
+        def stale_buffers():
+            buffers = loss_buffers(batch)
+            for array in vars(buffers).values():
+                array[...] = rng.uniform(-1.0, 1.0, array.shape)
+            return buffers
+
+        for score in (
+            lambda buffers: chl_loss(batch, cfg, buffers),
+            lambda buffers: objective(total_loss(batch, centers, None, cfg, buffers), cfg),
+            lambda buffers: objective(total_loss(batch, centers, weights, cfg, buffers), cfg),
+        ):
+            fresh_value, fresh_grads = score(loss_buffers(batch))
+            value, grads = score(stale_buffers())
+            assert value == fresh_value
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh_grads]
 
     def test_warmup_minus_selfpaced_is_half_gamma_at_unit_weights(self):
         rng = np.random.default_rng(20)

@@ -37,7 +37,7 @@ def regularizer(w: float, gamma: float) -> float:
     """
     centers = init_centers(2, 4, seed=0)
     codes = 1e3 * centers[:1]
-    batch = BatchCodes([codes, codes], one_hot(np.array([0]), 2))
+    batch = BatchCodes(np.concatenate([codes, codes]), one_hot(np.array([0]), 2))
     value, grads = nsh_loss(batch, centers, SampleWeights(np.array([w]), gamma), LossConfig(),
                             loss_buffers(batch).grads)
     assert not any(g.any() for g in grads)

@@ -282,8 +282,8 @@ class TestRefresh:
         cfg = LossConfig()
         expected = np.concatenate([
             per_instance_loss(
-                BatchCodes([encode_reference(mod, x[start:start + 1024])
-                            for mod, x in zip(params.modalities, x_all)],
+                BatchCodes(np.concatenate([encode_reference(mod, x[start:start + 1024])
+                                           for mod, x in zip(params.modalities, x_all)]),
                            labels[start:start + 1024]),
                 centers, cfg)
             for start in (0, 1024)
@@ -303,7 +303,7 @@ class TestValidation:
         params.flat *= 3.0
         ds = random_dataset(rng, 1100)
         hidden, codes = _Workspace(params, 16, 1024).refresh_views(1024)
-        got = binary_codes(params, ds, (hidden, codes[0]))
+        got = binary_codes(params, ds, (hidden, codes[:1024]))
         for mod, x, mine, fresh in zip(params.modalities, ds.modalities, got,
                                        binary_codes(params, ds)):
             expected = np.concatenate([np.where(encode_reference(mod, x[start:start + 1024]) >= 0,
