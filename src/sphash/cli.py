@@ -14,12 +14,16 @@ configuration, the seed, and the artifact paths; re-running a command with
 the manifest's argv reproduces every artifact byte for byte (the manifest
 itself records wall-clock time, so compare the artifacts, not the manifest).
 
+eval and each sweep cell score the T2I direction in a forked child process
+(POSIX ``fork``) while the command's own process scores I2T.
+
 Exit codes: 0 success, 1 some sweep cell failed (its aggregate entries read
 "error"), 2 usage error, 3 I/O error of any kind (an ``OSError``, which
-includes a file-format error), 4 numerical divergence during training, 5
-a checkpoint or weight dump that does not fit the dataset. sweep checks its
-whole grid before the first cell runs, so an empty axis or a bad noise rate,
-size, split, code length or variant exits 2 and writes no cell.
+includes a file-format error and a scoring process that died), 4 numerical
+divergence during training, 5 a checkpoint or weight dump that does not fit
+the dataset. sweep checks its whole grid before the first cell runs, so an
+empty axis or a bad noise rate, size, split, code length or variant exits 2
+and writes no cell.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import pickle
+import signal
 import sys
 import time
 from pathlib import Path
@@ -258,26 +265,89 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _test_split_scores(params, train_ds, test_ds) -> list:
-    """(task, MAP) for I2T, then T2I.
+def _score_direction(params, train_ds, test_ds, direction, pr_points):
+    """(name, MAP, PR curve or None) of one of ``evaluator.DIRECTIONS``.
 
-    Test-split queries against the train-split gallery, relevance by true labels.
+    Test-split queries against the train-split gallery, relevance by true
+    labels. Only the two modalities the direction ranks are encoded.
     """
-    tasks = evaluator.cross_modal_tasks(
-        trainer.binary_codes(params, test_ds), test_ds.true_labels,
-        trainer.binary_codes(params, train_ds), train_ds.true_labels,
+    name, query, gallery = direction
+    task = evaluator.RetrievalTask(
+        trainer.binary_codes(params, test_ds, query), test_ds.true_labels,
+        trainer.binary_codes(params, train_ds, gallery), train_ds.true_labels, name,
     )
-    return [(task, evaluator.mean_average_precision(task)) for task in tasks]
+    curve = None if pr_points is None else evaluator.pr_curve(task, pr_points)
+    return name, evaluator.mean_average_precision(task), curve
+
+
+def _fork(fn, *args) -> tuple[int, int]:
+    """Run fn(*args) in a forked child: (its pid, the pipe its pickled outcome comes by)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:  # the child ends here: no caller's frame, atexit handler or stdout flush runs in it
+        os.close(read_end)
+        try:
+            payload = pickle.dumps((True, fn(*args)))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)  # an exception can pickle and still not rebuild
+            except Exception:
+                payload = pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, read_end: int):
+    """A _fork child's result, or its exception raised here; the child is reaped."""
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()  # to EOF first: a long PR curve outgrows the pipe's buffer
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise ChildProcessError(f"scoring process {pid} {how} before sending a result")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
+def _test_split_scores(params, train_ds, test_ds, pr_points=None) -> list:
+    """(direction, MAP, PR curve or None) for I2T, then T2I.
+
+    T2I is scored in a forked child while this process scores I2T, so the
+    two rankings use two cores. Each PR curve has pr_points levels; None
+    skips the curves.
+    """
+    i2t, t2i = evaluator.DIRECTIONS
+    child = _fork(_score_direction, params, train_ds, test_ds, t2i, pr_points)
+    try:
+        first = _score_direction(params, train_ds, test_ds, i2t, pr_points)
+    except BaseException:
+        pid, read_end = child
+        os.kill(pid, signal.SIGKILL)
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        raise
+    return [first, _join(*child)]
 
 
 def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int) -> list[str]:
     """Write map.csv and one PR curve per direction; returns the artifact names."""
     artifacts, map_rows = [], []
-    for task, score in _test_split_scores(params, train_ds, test_ds):
-        direction = task.direction.lower()
+    for name, score, points in _test_split_scores(params, train_ds, test_ds, pr_points):
+        direction = name.lower()
         map_rows.append((direction, score))
         print(f"map_{direction} {score:.4f}")
-        points = evaluator.pr_curve(task, pr_points)
         pr_rows = [(p.x, p.y) for p in points]
         write_csv(out / f"pr_{direction}.csv", ("recall", "precision"), pr_rows)
         artifacts.append(f"pr_{direction}.csv")
@@ -422,7 +492,7 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
     _run_training(train_ds, val_ds, config, cell_dir / "train")
     # score the checkpoint's float32 weights, as eval does
     params, _ = load_checkpoint(cell_dir / "train" / "checkpoint.bin")
-    return tuple(score for _, score in _test_split_scores(params, train_ds, test_ds))
+    return tuple(score for _, score, _ in _test_split_scores(params, train_ds, test_ds))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,19 +94,24 @@ def _ranked_chunk(query_words, gallery_words, query_labels, gallery_labels) -> n
     return relevance.ravel().take(order)
 
 
+# each direction every model is scored in: (name, query modality, gallery modality)
+DIRECTIONS = (("I2T", 0, 1), ("T2I", 1, 0))
+
+
 def cross_modal_tasks(
     query_codes, query_labels, gallery_codes, gallery_labels
 ) -> tuple[RetrievalTask, RetrievalTask]:
-    """The two directions every model is scored in: (I2T, T2I).
+    """The two ``DIRECTIONS``' tasks: (I2T, T2I).
 
     I2T ranks the modality-1 gallery for modality-0 queries; T2I the reverse.
     ``query_codes`` and ``gallery_codes`` are per-modality code matrices.
     Datasets have exactly two modalities (``MultiModalDataset.validate``
     rejects any other count), so the pair covers every cross-modal direction.
     """
-    return (
-        RetrievalTask(query_codes[0], query_labels, gallery_codes[1], gallery_labels, "I2T"),
-        RetrievalTask(query_codes[1], query_labels, gallery_codes[0], gallery_labels, "T2I"),
+    return tuple(
+        RetrievalTask(query_codes[query], query_labels, gallery_codes[gallery], gallery_labels,
+                      name)
+        for name, query, gallery in DIRECTIONS
     )
 
 

@@ -63,12 +63,20 @@ _WEIGHT_LOG_DTYPE = np.dtype(
 
 
 def atomic_write(path, chunks) -> None:
-    """Write byte chunks in turn to a temp file beside path, then rename it over path."""
+    """Write byte chunks in turn to a temp file beside path, then rename it over path.
+
+    A write that raises, a chunk's included, removes the temp file.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_cell(value) -> str:

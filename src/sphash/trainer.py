@@ -323,9 +323,9 @@ def _full_train_losses(
     return out
 
 
-def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset,
-                 buffers: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
-    """Binarized codes for every modality of a dataset, encoded _REFRESH_CHUNK rows at a time.
+def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset, modality: int,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Binarized int8 codes of one modality of a dataset, encoded _REFRESH_CHUNK rows at a time.
 
     Every chunk is computed in buffers, a float64 (hidden, codes) pair of at
     least min(_REFRESH_CHUNK, n) rows, allocated once when None.
@@ -334,15 +334,13 @@ def binary_codes(params: HashEncoderParams, dataset: MultiModalDataset,
     if buffers is None:
         rows = min(_REFRESH_CHUNK, n)
         buffers = np.empty((rows, params.hidden_dim)), np.empty((rows, params.code_length))
-    out = []
-    for mod, x in zip(params.modalities, dataset.modalities):
-        codes = np.empty((n, params.code_length), dtype=np.int8)
-        for start in range(0, n, _REFRESH_CHUNK):
-            stop = min(start + _REFRESH_CHUNK, n)
-            pair = tuple(b[: stop - start] for b in buffers)
-            codes[start:stop] = binarize(encode(mod, x[start:stop], pair))
-        out.append(codes)
-    return out
+    mod, x = params.modalities[modality], dataset.modalities[modality]
+    codes = np.empty((n, params.code_length), dtype=np.int8)
+    for start in range(0, n, _REFRESH_CHUNK):
+        stop = min(start + _REFRESH_CHUNK, n)
+        pair = tuple(b[: stop - start] for b in buffers)
+        codes[start:stop] = binarize(encode(mod, x[start:stop], pair))
+    return codes
 
 
 def _validation_map(
@@ -358,7 +356,8 @@ def _validation_map(
     """
     rows = min(_REFRESH_CHUNK, val_ds.n)
     hidden, relaxed = workspace.refresh_views(rows)
-    codes = binary_codes(params, val_ds, (hidden, relaxed[:rows]))
+    codes = [binary_codes(params, val_ds, modality, (hidden, relaxed[:rows]))
+             for modality in range(val_ds.m)]
     labels = val_ds.true_labels if clean_val else val_ds.labels
     i2t, t2i = evaluator.cross_modal_tasks(codes, labels, codes, labels)
     return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)

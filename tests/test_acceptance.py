@@ -62,8 +62,8 @@ def train_benchmark(noise: float, variant: str, tmp_path_factory):
     checkpoint = tmp_path_factory.mktemp(f"bench_{variant}_{noise}") / "checkpoint.bin"
     save_checkpoint(rep.best_params, rep.centers, checkpoint)
     params, _ = load_checkpoint(checkpoint)
-    q = binary_codes(params, te)
-    g = binary_codes(params, tr)
+    q = [binary_codes(params, te, m) for m in range(te.m)]
+    g = [binary_codes(params, tr, m) for m in range(tr.m)]
     i2t, t2i = (
         evaluator.mean_average_precision(task)
         for task in evaluator.cross_modal_tasks(q, te.true_labels, g, tr.true_labels)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +13,12 @@ from hypothesis import strategies as st
 import sphash.cli as cli_module
 import sphash.fileio as fileio
 from sphash.cli import _list_of, build_parser, main
-from sphash.errors import TrainingDivergedError
+from sphash.data import SynthSpec, generate_synthetic, split
+from sphash.encoder import init_params
+from sphash.errors import ShapeError, TrainingDivergedError
+from sphash.evaluator import cross_modal_tasks, mean_average_precision, pr_curve
 from sphash.fileio import load_checkpoint, read_dataset, write_csv
-from sphash.data import split
+from sphash.kernels import QUERY_CHUNK
 from sphash.trainer import binary_codes
 from oracles import final_weight_dump_reference, naive_pr_curve, ranked_relevance_reference
 
@@ -168,7 +174,8 @@ class TestEval:
         params, _ = load_checkpoint(train_dir / "checkpoint.bin")
         dataset, split_record = read_dataset(dataset_dir)
         train_ds, _, test_ds = split(dataset, *split_record)
-        query, gallery = binary_codes(params, test_ds), binary_codes(params, train_ds)
+        query = [binary_codes(params, test_ds, m) for m in range(test_ds.m)]
+        gallery = [binary_codes(params, train_ds, m) for m in range(train_ds.m)]
         ranked = ranked_relevance_reference(query[0], test_ds.true_labels,
                                             gallery[1], train_ds.true_labels)
         expected = tmp_path / "pr_i2t.csv"
@@ -323,6 +330,104 @@ class TestSweep:
         header, *rows = (sweep_dir / "aggregate.csv").read_text().splitlines()
         row = dict(zip(header.split(","), next(r for r in rows if r.startswith("no_spl,")).split(",")))
         assert maps == {"i2t": row["i2t_n0.6_b8"], "t2i": row["t2i_n0.6_b8"]}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # waitpid finds no child, running or exited
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child_only(action):
+    """A stand-in for cli._score_direction that runs action() first in a forked child."""
+    parent, real = os.getpid(), cli_module._score_direction
+
+    def score(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+
+    return score
+
+
+@pytest.fixture(scope="module")
+def scoring_splits():
+    # 100 test queries span four 32-query chunks; a 351-row gallery is no multiple of 8
+    dataset = generate_synthetic(SynthSpec(n=501, k=4, m=2, dims=(10, 8), seed=11))
+    train_ds, _, test_ds = split(dataset, 0.7, 0.1, 11)
+    assert test_ds.n > 2 * QUERY_CHUNK and train_ds.n % 8
+    params = init_params(dataset.dims, hidden_dim=16, code_length=16, seed=11)
+    return params, train_ds, test_ds
+
+
+class TestScoringProcesses:
+    def test_scores_equal_one_process_scoring(self, scoring_splits):
+        params, train_ds, test_ds = scoring_splits
+        tasks = cross_modal_tasks(
+            [binary_codes(params, test_ds, m) for m in range(test_ds.m)], test_ds.true_labels,
+            [binary_codes(params, train_ds, m) for m in range(train_ds.m)], train_ds.true_labels,
+        )
+        # 10,001 points pickle to more than a pipe's 64 KB buffer
+        expected = [(t.direction, mean_average_precision(t), pr_curve(t, 10_001)) for t in tasks]
+        assert cli_module._test_split_scores(params, train_ds, test_ds, 10_001) == expected
+        assert cli_module._test_split_scores(params, train_ds, test_ds) == [
+            (direction, score, None) for direction, score, _ in expected]
+        assert_no_child_left()
+
+    def test_child_error_is_raised_in_the_parent(self, scoring_splits, monkeypatch):
+        def fail():
+            raise ShapeError("T2I codes do not line up")
+
+        monkeypatch.setattr(cli_module, "_score_direction", in_child_only(fail))
+        with pytest.raises(ShapeError, match="T2I codes do not line up"):
+            cli_module._test_split_scores(*scoring_splits)
+        assert_no_child_left()
+
+    def test_child_error_that_cannot_pickle_arrives_as_its_text(self, scoring_splits,
+                                                                 monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fail():
+            raise LocalError("only in the child")
+
+        monkeypatch.setattr(cli_module, "_score_direction", in_child_only(fail))
+        with pytest.raises(ChildProcessError, match="LocalError: only in the child"):
+            cli_module._test_split_scores(*scoring_splits)
+        assert_no_child_left()
+
+    def test_killed_child_makes_eval_exit_3(self, dataset_dir, train_dir, tmp_path, monkeypatch,
+                                            capsys):
+        kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(cli_module, "_score_direction", kill)
+        assert main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--out", str(tmp_path)]) == 3
+        assert "killed by signal 9" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+        assert_no_child_left()
+
+    def test_killed_child_makes_its_sweep_cell_an_error(self, tmp_path, monkeypatch):
+        kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(cli_module, "_score_direction", kill)
+        assert main(SWEEP_ARGS + ["--noise-rates", "0.2", "--variants", "full",
+                                  "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "aggregate.csv").read_text().splitlines()[1] == "full,error,error"
+        assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_the_child(self, scoring_splits, monkeypatch):
+        parent, real = os.getpid(), cli_module._score_direction
+
+        def score(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("I2T failed")
+            time.sleep(60)  # still running when the parent fails
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, "_score_direction", score)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="I2T failed"):
+            cli_module._test_split_scores(*scoring_splits)
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert_no_child_left()
 
 
 class TestConfigFile:

@@ -244,6 +244,18 @@ class TestChunkedWrites:
         assert path.read_bytes() == b"\x01\x02\x02\x03\x03\x03"
         assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
 
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        def chunks():
+            yield b"first chunk\n"
+            raise RuntimeError("chunk failed")
+
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            atomic_write(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     def test_weight_log_is_written_one_epoch_at_a_time(self, tmp_path):
         # no buffer of the whole dump: the traced peak stays below half the file's size
         rng = np.random.default_rng(0)

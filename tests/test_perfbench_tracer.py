@@ -126,3 +126,27 @@ def test_traced_training_runs_make_the_expected_calls(tmp_path):
         for seen, variant in zip(trace["per_train"], variants[kind]):
             want = run.expected_train_counts(n, epochs, warmup, variant)
             assert {name: seen.get(name, 0) for name in want} == want, (kind, variant)
+
+
+def test_traced_eval_stays_one_command(tmp_path):
+    # eval scores T2I in a forked child, which ends without returning into cli.main:
+    # one command's stdout and one trace, holding the I2T scoring spans
+    run = load_by_path("perfbench_run", RUN_PATH)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def sphash(*argv, trace=None):
+        prefix = [str(TRACER_PATH), str(trace)] if trace else ["-m", "sphash.cli"]
+        return subprocess.run([sys.executable, *prefix, *argv], check=True, env=env,
+                              cwd=tmp_path, stdout=subprocess.PIPE, text=True).stdout
+
+    data, model = str(tmp_path / "data"), str(tmp_path / "m")
+    sphash("gen-data", "--n", "200", "--k", "4", "--dims", "6,5", "--noise-rate", "0.4",
+           "--seed", "2", "--out", data)
+    sphash("train", "--data", data, "--out", model, "--bits", "8", "--hidden", "8",
+           "--epochs", "2", "--warmup", "1", "--seed", "2")
+    printed = sphash("eval", "--checkpoint", f"{model}/checkpoint.bin", "--data", data,
+                     "--out", str(tmp_path / "e"), trace=tmp_path / "eval.json")
+    assert sorted(line.split()[0] for line in printed.splitlines()) == ["map_i2t", "map_t2i"]
+    trace = run.load_trace(tmp_path / "eval.json")
+    assert trace["calls"]["cli.cmd_eval"] == 1
+    assert trace["eval_calls"]["evaluator.mean_average_precision"] == 1

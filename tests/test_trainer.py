@@ -303,9 +303,9 @@ class TestValidation:
         params.flat *= 3.0
         ds = random_dataset(rng, 1100)
         hidden, codes = _Workspace(params, 16, 1024).refresh_views(1024)
-        got = binary_codes(params, ds, (hidden, codes[:1024]))
+        got = [binary_codes(params, ds, m, (hidden, codes[:1024])) for m in range(ds.m)]
         for mod, x, mine, fresh in zip(params.modalities, ds.modalities, got,
-                                       binary_codes(params, ds)):
+                                       [binary_codes(params, ds, m) for m in range(ds.m)]):
             expected = np.concatenate([np.where(encode_reference(mod, x[start:start + 1024]) >= 0,
                                                 1, -1) for start in (0, 1024)]).astype(np.int8)
             assert mine.tobytes() == fresh.tobytes() == expected.tobytes()
@@ -316,7 +316,7 @@ class TestValidation:
         tr, va, _ = split(ds, 0.2, 0.5, 2)
         assert va.n > tr.n
         report = train(tr, va, tiny_config(code_length=bits, warmup_epochs=0, max_epochs=1))
-        codes = binary_codes(report.best_params, va)  # without a workspace
+        codes = [binary_codes(report.best_params, va, m) for m in range(va.m)]  # no workspace
         i2t, t2i = cross_modal_tasks(codes, va.labels, codes, va.labels)
         record = report.records[0]
         assert (record.val_map_i2t, record.val_map_t2i) == (
