@@ -105,14 +105,10 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
         "--dims", type=_list_of(int), default=[64, 48],
         help="comma-separated feature dims, one per modality (default 64,48)",
     )
-    p.add_argument(
-        "--class-separation", type=float, default=5.5,
-        help="minimum distance between class latents (default 5.5)",
-    )
-    p.add_argument(
-        "--intra-noise-std", type=float, default=0.7,
-        help="std of the per-instance latent perturbation (default 0.7)",
-    )
+    p.add_argument("--class-separation", type=float, default=SynthSpec.class_separation,
+                   help="minimum distance between class latents (default %(default)s)")
+    p.add_argument("--intra-noise-std", type=float, default=SynthSpec.intra_noise_std,
+                   help="std of the per-instance latent perturbation (default %(default)s)")
     p.add_argument("--train-frac", type=float, default=0.7,
                    help="training fraction of the split (default 0.7)")
     p.add_argument("--val-frac", type=float, default=0.1,
@@ -121,24 +117,26 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """The training flags train and sweep share; each adds its own --bits and variant flag."""
-    p.add_argument("--hidden", type=int, default=256, help="encoder hidden width (default 256)")
-    p.add_argument("--batch-size", type=int, default=128, help="mini-batch size (default 128)")
-    p.add_argument("--warmup", type=int, default=5, help="warm-up epochs before self-pacing (default 5)")
-    p.add_argument("--epochs", type=int, default=200, help="total training epochs (default 200)")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
-    p.add_argument(
-        "--optimizer", choices=trainer.OPTIMIZERS, default="adaptive_moments",
-        help="parameter update rule (default adaptive_moments)",
-    )
-    p.add_argument("--tau", type=float, default=1.0, help="softmax temperature (default 1.0)")
-    p.add_argument(
-        "--r", type=float, default=0.5,
-        help="robustness factor in (0,1]; 1 behaves like 1-p, small r like -ln p (default 0.5)",
-    )
-    p.add_argument(
-        "--alpha", type=float, default=0.002,
-        help="weight of the contrastive term in the objective (default 0.002)",
-    )
+    config = trainer.TrainConfig  # each default below is its field's
+    p.add_argument("--hidden", type=int, default=config.hidden_dim,
+                   help="encoder hidden width (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=config.batch_size,
+                   help="mini-batch size (default %(default)s)")
+    p.add_argument("--warmup", type=int, default=config.warmup_epochs,
+                   help="warm-up epochs before self-pacing (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=config.max_epochs,
+                   help="total training epochs (default %(default)s)")
+    p.add_argument("--lr", type=float, default=config.learning_rate,
+                   help="learning rate (default %(default)s)")
+    p.add_argument("--optimizer", choices=trainer.OPTIMIZERS, default=config.optimizer,
+                   help="parameter update rule (default %(default)s)")
+    p.add_argument("--tau", type=float, default=LossConfig.tau,
+                   help="softmax temperature (default %(default)s)")
+    p.add_argument("--r", type=float, default=LossConfig.r,
+                   help="robustness factor in (0,1]; 1 behaves like 1-p, small r like -ln p "
+                   "(default %(default)s)")
+    p.add_argument("--alpha", type=float, default=LossConfig.alpha,
+                   help="weight of the contrastive term in the objective (default %(default)s)")
     p.add_argument(
         "--gamma", type=float, default=None,
         help="fixed pace parameter; default is half the per-instance loss upper bound",
@@ -147,11 +145,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         "--gamma-ramp", type=_gamma_ramp, default=None, metavar="START:END:EPOCHS",
         help="linear pace ramp over the self-paced phase, overrides --gamma",
     )
-    p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    p.add_argument(
-        "--eval-every", type=int, default=1,
-        help="validation cadence in epochs (default 1)",
-    )
+    p.add_argument("--seed", type=int, default=config.seed, help="run seed (default %(default)s)")
+    p.add_argument("--eval-every", type=int, default=config.eval_every,
+                   help="validation cadence in epochs (default %(default)s)")
     p.add_argument(
         "--clean-val", action="store_true",
         help="use ground-truth labels for validation relevance (diagnostic)",
@@ -280,16 +276,11 @@ def _score_direction(params, train_ds, test_ds, direction, pr_points):
     return name, evaluator.mean_average_precision(task), curve
 
 
-def _fork(fn, *args) -> tuple[int, int]:
-    """Run fn(*args) in a forked child: (its pid, the pipe its pickled outcome comes by)."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
+def _child_run(sink, fn, *args):
+    """The forked child's whole life: fn(*args)'s pickled outcome goes to sink, then
+    ``os._exit``, so no caller's frame, atexit handler or stdout flush runs in the child."""
     status = 1
-    try:  # the child ends here: no caller's frame, atexit handler or stdout flush runs in it
-        os.close(read_end)
+    try:
         try:
             payload = pickle.dumps((True, fn(*args)))
         except BaseException as exc:
@@ -298,27 +289,11 @@ def _fork(fn, *args) -> tuple[int, int]:
                 pickle.loads(payload)  # an exception can pickle and still not rebuild
             except Exception:
                 payload = pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
+        sink.write(payload)
+        sink.flush()
         status = 0
     finally:
         os._exit(status)
-
-
-def _join(pid: int, read_end: int):
-    """A _fork child's result, or its exception raised here; the child is reaped."""
-    try:
-        with open(read_end, "rb") as pipe:
-            payload = pipe.read()  # to EOF first: a long PR curve outgrows the pipe's buffer
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        raise ChildProcessError(f"scoring process {pid} {how} before sending a result")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value
 
 
 def _test_split_scores(params, train_ds, test_ds, pr_points=None) -> list:
@@ -326,19 +301,34 @@ def _test_split_scores(params, train_ds, test_ds, pr_points=None) -> list:
 
     T2I is scored in a forked child while this process scores I2T, so the
     two rankings use two cores. Each PR curve has pr_points levels; None
-    skips the curves.
+    skips the curves. Whatever raises here, an interrupt included, leaves no
+    pipe end open and no child running or unreaped.
     """
     i2t, t2i = evaluator.DIRECTIONS
-    child = _fork(_score_direction, params, train_ds, test_ds, t2i, pr_points)
+    pid = 0
+    read_end, write_end = os.pipe()
     try:
-        first = _score_direction(params, train_ds, test_ds, i2t, pr_points)
+        with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
+            pid = os.fork()
+            if not pid:
+                _child_run(sink, _score_direction, params, train_ds, test_ds, t2i, pr_points)
+            sink.close()  # the child holds the only write end left, so EOF means it is done
+            first = _score_direction(params, train_ds, test_ds, i2t, pr_points)
+            payload = pipe.read()  # to EOF first: a long PR curve outgrows the pipe's buffer
     except BaseException:
-        pid, read_end = child
-        os.kill(pid, signal.SIGKILL)
-        os.close(read_end)
-        os.waitpid(pid, 0)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
         raise
-    return [first, _join(*child)]
+    finally:
+        if pid:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise ChildProcessError(f"scoring process {pid} {how} before sending a result")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return [first, value]
 
 
 def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int) -> list[str]:
@@ -436,34 +426,20 @@ def cmd_sweep(args) -> int:
     spec, configs = _sweep_grid(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cells = {}
+    columns, rows = ["variant"], [[variant] for variant in args.variants]
     failed = False
     for noise in args.noise_rates:
         for bits in args.bits:
-            for variant in args.variants:
+            columns += [f"i2t_n{noise}_b{bits}", f"t2i_n{noise}_b{bits}"]
+            for variant, row in zip(args.variants, rows):
                 cell_seed = stable_seed(args.seed, noise, bits, variant)
                 cell_dir = out / "cells" / f"n{noise}_b{bits}_{variant}"
                 try:
-                    cells[(noise, bits, variant)] = _run_cell(
-                        args, noise, spec, configs[bits, variant], cell_seed, cell_dir
-                    )
+                    row += _run_cell(args, noise, spec, configs[bits, variant], cell_seed, cell_dir)
                 except (SphashError, OSError) as exc:  # a broken cell must not sink the grid
                     print(f"cell n={noise} bits={bits} {variant} failed: {exc}", file=sys.stderr)
-                    cells[(noise, bits, variant)] = None
+                    row += ["error", "error"]
                     failed = True
-
-    columns = ["variant"]
-    for noise in args.noise_rates:
-        for bits in args.bits:
-            columns += [f"i2t_n{noise}_b{bits}", f"t2i_n{noise}_b{bits}"]
-    rows = []
-    for variant in args.variants:
-        row = [variant]
-        for noise in args.noise_rates:
-            for bits in args.bits:
-                cell = cells[(noise, bits, variant)]
-                row += ["error", "error"] if cell is None else list(cell)
-        rows.append(row)
     write_csv(out / "aggregate.csv", columns, rows)
 
     grid = {
@@ -508,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_flags(p)
     p.add_argument("--noise-rate", type=float, default=0.0,
                    help="fraction of train-split labels to corrupt (default 0.0)")
-    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
+    p.add_argument("--seed", type=int, default=SynthSpec.seed,
+                   help="generation seed (default %(default)s)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 
@@ -517,12 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--bits", type=int, default=32,
-        help="hash code length; typical settings are 16, 32, 64 or 128 (default 32)",
+        "--bits", type=int, default=trainer.TrainConfig.code_length,
+        help="hash code length; typical settings are 16, 32, 64 or 128 (default %(default)s)",
     )
     p.add_argument(
         "--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
-        help=f"ablation/robustness variant (default {_DEFAULT_VARIANT})",
+        help="ablation/robustness variant (default %(default)s)",
     )
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)

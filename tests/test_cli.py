@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -19,7 +21,7 @@ from sphash.errors import ShapeError, TrainingDivergedError
 from sphash.evaluator import cross_modal_tasks, mean_average_precision, pr_curve
 from sphash.fileio import load_checkpoint, read_dataset, write_csv
 from sphash.kernels import QUERY_CHUNK
-from sphash.trainer import binary_codes
+from sphash.trainer import TrainConfig, binary_codes
 from oracles import final_weight_dump_reference, naive_pr_curve, ranked_relevance_reference
 
 
@@ -332,11 +334,6 @@ class TestSweep:
         assert maps == {"i2t": row["i2t_n0.6_b8"], "t2i": row["t2i_n0.6_b8"]}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):  # waitpid finds no child, running or exited
-        os.waitpid(-1, os.WNOHANG)
-
-
 def in_child_only(action):
     """A stand-in for cli._score_direction that runs action() first in a forked child."""
     parent, real = os.getpid(), cli_module._score_direction
@@ -371,7 +368,6 @@ class TestScoringProcesses:
         assert cli_module._test_split_scores(params, train_ds, test_ds, 10_001) == expected
         assert cli_module._test_split_scores(params, train_ds, test_ds) == [
             (direction, score, None) for direction, score, _ in expected]
-        assert_no_child_left()
 
     def test_child_error_is_raised_in_the_parent(self, scoring_splits, monkeypatch):
         def fail():
@@ -380,7 +376,6 @@ class TestScoringProcesses:
         monkeypatch.setattr(cli_module, "_score_direction", in_child_only(fail))
         with pytest.raises(ShapeError, match="T2I codes do not line up"):
             cli_module._test_split_scores(*scoring_splits)
-        assert_no_child_left()
 
     def test_child_error_that_cannot_pickle_arrives_as_its_text(self, scoring_splits,
                                                                  monkeypatch):
@@ -393,7 +388,6 @@ class TestScoringProcesses:
         monkeypatch.setattr(cli_module, "_score_direction", in_child_only(fail))
         with pytest.raises(ChildProcessError, match="LocalError: only in the child"):
             cli_module._test_split_scores(*scoring_splits)
-        assert_no_child_left()
 
     def test_killed_child_makes_eval_exit_3(self, dataset_dir, train_dir, tmp_path, monkeypatch,
                                             capsys):
@@ -403,7 +397,6 @@ class TestScoringProcesses:
                      "--data", str(dataset_dir), "--out", str(tmp_path)]) == 3
         assert "killed by signal 9" in capsys.readouterr().err
         assert not (tmp_path / "map.csv").exists()
-        assert_no_child_left()
 
     def test_killed_child_makes_its_sweep_cell_an_error(self, tmp_path, monkeypatch):
         kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL))
@@ -411,7 +404,6 @@ class TestScoringProcesses:
         assert main(SWEEP_ARGS + ["--noise-rates", "0.2", "--variants", "full",
                                   "--out", str(tmp_path)]) == 1
         assert (tmp_path / "aggregate.csv").read_text().splitlines()[1] == "full,error,error"
-        assert_no_child_left()
 
     def test_parent_error_kills_and_reaps_the_child(self, scoring_splits, monkeypatch):
         parent, real = os.getpid(), cli_module._score_direction
@@ -427,7 +419,34 @@ class TestScoringProcesses:
         with pytest.raises(RuntimeError, match="I2T failed"):
             cli_module._test_split_scores(*scoring_splits)
         assert time.monotonic() - started < 30  # killed, not waited for
-        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    def test_failed_fork_leaves_no_descriptor_open(self, scoring_splits, monkeypatch):
+        def fail():
+            raise OSError(errno.EAGAIN, "no process slot")
+
+        monkeypatch.setattr(cli_module.os, "fork", fail)
+        before = sorted(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(OSError, match="no process slot"):
+                cli_module._test_split_scores(*scoring_splits)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_interrupt_while_the_child_runs_kills_it(self, scoring_splits, monkeypatch):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "_score_direction", in_child_only(lambda: time.sleep(60)))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.alarm(1)  # the parent is waiting on the child's pipe by then
+            with pytest.raises(KeyboardInterrupt):
+                cli_module._test_split_scores(*scoring_splits)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30  # killed, not waited for
 
 
 class TestConfigFile:
@@ -935,6 +954,16 @@ class TestFuzzedTextInputs:
         argv = [command, "--config", str(tmp_path / "config.json"), *paths.get(command, []),
                 *_CONFIG_RUNS[command], "--out", str(tmp_path / "out")]
         assert _exit_code(argv) in _DOCUMENTED_EXITS
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["train", "--data", "data", "--out", "out"])
+    assert cli_module._train_config(args, args.bits, args.variant) == TrainConfig()
+    spec = cli_module._synth_spec(parser.parse_args(["gen-data", "--out", "out"]))
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthSpec)
+                if f.default is not dataclasses.MISSING}
+    assert {name: getattr(spec, name) for name in defaults} == defaults
 
 
 def test_list_parser_is_element_typed():

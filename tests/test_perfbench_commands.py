@@ -1,16 +1,20 @@
-"""The benchmark's command lines stay valid sphash command lines.
+"""The benchmark's command lines and the sweep layout it reads stay sphash's.
 
-``perfbench/run.py`` builds each command it times as an argv list. A flag
-renamed or retyped in ``sphash.cli`` would otherwise show up only as failed
-benchmark operations. This test loads the harness by path, lets it build every
+``perfbench/run.py`` builds each command it times as an argv list, and reads
+a sweep's cells and ``aggregate.csv`` by its own idea of their names and
+order. A flag renamed or retyped in ``sphash.cli``, or a sweep that walks or
+names its grid differently, would otherwise show up only as failed benchmark
+operations. These tests load the harness by path: one lets it build every
 workload's commands with a runner that records each argv instead of spawning
-a process, and parses them with the CLI's parser.
+a process, and parses them with the CLI's parser; the other runs a sweep
+without training and reads it back with the harness's own readers.
 """
 
 import importlib.util
 from pathlib import Path
 
-from sphash.cli import build_parser
+import sphash.cli as cli_module
+from sphash.cli import build_parser, main
 
 RUN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -53,3 +57,24 @@ def test_every_benchmark_argv_parses(tmp_path):
             if argv != ["--version"]:  # the import-only set-up
                 commands.add(parser.parse_args(argv).command)
     assert commands == {"gen-data", "sweep", "train", "eval"}
+
+
+def test_sweep_layout_is_the_one_perfbench_reads(tmp_path, monkeypatch):
+    run = load_run()
+    grid = {"noise_rates": [0.2, 0.6], "bits": [8, 16], "variants": ["full", "no_spl"]}
+    calls = []
+
+    def run_cell(args, noise, spec, config, seed, cell_dir):
+        calls.append(((noise, config.code_length, config.variant), cell_dir))
+        return 0.125 + len(calls), 0.5 + len(calls)  # two scores no other cell has
+
+    monkeypatch.setattr(cli_module, "_run_cell", run_cell)
+    assert main(["sweep", "--noise-rates", "0.2,0.6", "--bits", "8,16",
+                 "--variants", "full,no_spl", "--n", "90", "--k", "3", "--dims", "8,6",
+                 "--out", str(tmp_path)]) == 0
+    assert [cell for cell, _ in calls] == run._grid(grid)
+    table = run._read_aggregate(tmp_path / "aggregate.csv")
+    for i, ((noise, bits, variant), cell_dir) in enumerate(calls, start=1):
+        assert cell_dir.name == run._cell_dir(noise, bits, variant)
+        assert table[f"i2t_n{noise}_b{bits}"][variant] == f"{0.125 + i:.6f}"
+        assert table[f"t2i_n{noise}_b{bits}"][variant] == f"{0.5 + i:.6f}"
