@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .data import MultiModalDataset, SynthSpec, generate_synthetic, inject_symmetric_noise, split
 from .encoder import binarize, encode, init_centers, init_params
 from .losses import BatchCodes, LossConfig
-from .pacer import PaceSchedule, SampleWeights, gamma_bounds, refresh_weights
+from .pacer import PaceSchedule, SampleWeights, refresh_weights
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "LossConfig",
     "PaceSchedule",
     "SampleWeights",
-    "gamma_bounds",
     "refresh_weights",
     "TrainConfig",
     "TrainReport",

@@ -248,7 +248,7 @@ def _run_training(train_ds, val_ds, config: trainer.TrainConfig, out: Path):
 def cmd_train(args) -> int:
     started = time.time()
     dataset, split_record = read_dataset(Path(args.data))
-    config = _train_config(args, args.bits, args.variant)
+    config = trainer.resolve_config(_train_config(args, args.bits, args.variant), dataset.m)
     check_capacity(dataset.class_count, config.code_length)
     train_ds, val_ds, _ = split(dataset, *split_record)
     del dataset  # the two splits hold every row training reads
@@ -530,8 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
-    """The flags a --config file stands for: ``--key=value`` per key of its JSON object."""
+def _config_flags(path: str, options) -> list[str]:
+    """The flags a --config file stands for: ``--key=value`` per key of its JSON object.
+
+    Each key must spell one of options, the command's option strings, in full:
+    argparse would take a prefix of a flag for the flag.
+    """
     try:
         values = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -541,6 +545,8 @@ def _config_flags(path: str) -> list[str]:
     flags = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
+        if flag not in options:
+            raise ParameterError(f"config file {path}: key {key!r} is not a flag of the command")
         if isinstance(value, list):
             # every item ends in a comma: a list flag skips the empty last item,
             # and a flag that takes one number rejects the text
@@ -557,10 +563,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespa
     finder = argparse.ArgumentParser(add_help=False)
     finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
     config = finder.parse_known_args(argv)[0].config
-    if not config:
+    (commands,) = parser._subparsers._group_actions
+    command = commands.choices.get(argv[0]) if config else None
+    if command is None:  # no config, or no command: the top-level options (--help) only exit
         return parser.parse_args(argv)
-    try:  # argv[0] is the command: the top-level options (--help, --version) only exit
-        return parser.parse_args(argv[:1] + _config_flags(config) + argv[1:])
+    try:
+        return parser.parse_args(argv[:1] + _config_flags(config, command._option_string_actions)
+                                 + argv[1:])
     except SystemExit as exc:  # argparse has printed which flag failed
         if not exc.code:  # --help
             raise

@@ -64,18 +64,9 @@ def loss_upper_bound(n_modalities: int, r: float) -> float:
     return n_modalities * (r * r - r + 1.0) / r
 
 
-def gamma_bounds(n_modalities: int, r: float) -> tuple[float, float]:
-    """Open admissible interval for gamma: (0, M*(r^2 - r + 1)/r)."""
-    if n_modalities < 1:
-        raise ParameterError(f"modality count {n_modalities} must be >= 1")
-    if not 0.0 < r <= 1.0:
-        raise ParameterError(f"weight factor r={r} outside (0, 1]")
-    return 0.0, loss_upper_bound(n_modalities, r)
-
-
 def validate_schedule(schedule: PaceSchedule, n_modalities: int, r: float) -> None:
     """Reject schedules whose gamma could leave the admissible interval."""
-    _, upper = gamma_bounds(n_modalities, r)
+    upper = loss_upper_bound(n_modalities, r)
     if not schedule.resolved_end < upper:
         raise ParameterError(
             f"gamma reaches {schedule.resolved_end}, outside (0, {upper}) for "
@@ -101,9 +92,3 @@ def refresh_weights(losses: np.ndarray, gamma: float) -> SampleWeights:
     if not gamma > 0:
         raise ParameterError(f"gamma={gamma} must be positive")
     return SampleWeights(np.maximum(0.0, 1.0 - losses / gamma), gamma)
-
-
-def binarize_weights(weights: SampleWeights) -> SampleWeights:
-    """Progressive-learning ablation: every admitted instance gets full weight."""
-    values = np.where(weights.values > 0, 1.0, 0.0)
-    return SampleWeights(values, weights.gamma)

@@ -29,7 +29,9 @@ Variants (ablations and robustness probes):
   gamma_override   gamma fixed above the loss upper bound (200 unless a pace
                    is given), admitting everyone
 
-``resolve_config`` is the one place that turns a variant into settings.
+``resolve_config`` forces the settings of no_warmup, no_chl and gamma_override;
+the refresh applies the weight rules of no_spl and binarize_weights to the
+epoch's row of ``TrainReport.weights``, which is the only copy of its weights.
 """
 
 from __future__ import annotations
@@ -119,14 +121,15 @@ def resolve_config(config: TrainConfig, n_modalities: int) -> TrainConfig:
         warmup = 0
 
     pace = config.pace
+    upper = pacer.loss_upper_bound(n_modalities, loss_cfg.r)
     if config.variant == "gamma_override":
-        # deliberately outside the admissible interval: every instance admitted
-        if pace is None:
-            pace = PaceSchedule(gamma_start=_GAMMA_OVERRIDE_DEFAULT)
+        # deliberately above the admissible interval: every instance admitted
+        pace = pace or PaceSchedule(gamma_start=_GAMMA_OVERRIDE_DEFAULT)
+        if not pace.gamma_start > upper:  # a ramp never falls below its start
+            raise ParameterError(f"gamma_override needs gamma {pace.gamma_start} above the "
+                                 f"loss bound {upper} for M={n_modalities}, r={loss_cfg.r}")
     else:
-        if pace is None:
-            _, upper = pacer.gamma_bounds(n_modalities, loss_cfg.r)
-            pace = PaceSchedule(gamma_start=0.5 * upper)
+        pace = pace or PaceSchedule(gamma_start=0.5 * upper)
         pacer.validate_schedule(pace, n_modalities, loss_cfg.r)
     return dataclasses.replace(config, loss=loss_cfg, warmup_epochs=warmup, pace=pace)
 
@@ -302,21 +305,20 @@ def step(
 
 def _full_train_losses(
     params: HashEncoderParams, centers: np.ndarray, x_all: list[np.ndarray],
-    labels: np.ndarray, cfg: LossConfig, epoch: int, workspace: _Workspace,
+    labels: np.ndarray, cfg: LossConfig, epoch: int, workspace: _Workspace, out: np.ndarray,
 ) -> np.ndarray:
-    """Per-instance losses over the whole training split, parameters frozen.
+    """Per-instance losses over the whole training split, parameters frozen, written to out.
 
     The split is encoded _REFRESH_CHUNK rows at a time into the workspace,
     each chunk cast to float64 as it is read.
     """
     n = labels.shape[0]
-    out = np.empty(n)
     for start in range(0, n, _REFRESH_CHUNK):
         stop = min(start + _REFRESH_CHUNK, n)
         hidden, codes = workspace.refresh_views(stop - start)
         batch = BatchCodes(codes, labels[start:stop])
         for mod, x, mod_codes in zip(params.modalities, x_all, batch.codes):
-            forward(mod, x[start:stop], (hidden, mod_codes))
+            encode(mod, x[start:stop], (hidden, mod_codes))
         out[start:stop] = losses.per_instance_loss(batch, centers, cfg)
     if not np.all(np.isfinite(out)):
         raise TrainingDivergedError(f"non-finite instance loss at epoch {epoch}", epoch, -1)
@@ -386,28 +388,25 @@ def train(
     best_flat = params.flat.copy()  # filled in place: no new allocation per improvement
 
     for epoch in range(config.max_epochs):
-        weights_all = gamma = zero_count = None  # no weights: a warm-up epoch
+        weights_row = gamma = zero_count = None  # no weights: a warm-up epoch
         if epoch >= config.warmup_epochs:
             paced = epoch - config.warmup_epochs
             gamma = pacer.gamma_at(config.pace, paced)
-            paced_losses[paced] = _full_train_losses(
-                params, centers, train_ds.modalities, labels, config.loss, epoch, workspace
-            )
-            weights_all = pacer.refresh_weights(paced_losses[paced], gamma)
+            weights_row = paced_weights[paced]
+            _full_train_losses(params, centers, train_ds.modalities, labels, config.loss, epoch,
+                               workspace, paced_losses[paced])
+            weights_row[:] = pacer.refresh_weights(paced_losses[paced], gamma).values
             if config.variant == "no_spl":
-                weights_all = SampleWeights(np.ones(n_train), gamma)
+                weights_row[:] = 1.0
             elif config.variant == "binarize_weights":
-                weights_all = pacer.binarize_weights(weights_all)
-            zero_count = int((weights_all.values == 0).sum())
-            paced_weights[paced] = weights_all.values
+                weights_row[weights_row > 0] = 1.0
+            zero_count = int((weights_row == 0).sum())
 
         perm = spawn_rng(config.seed, "shuffle", epoch).permutation(n_train)
         sums = {"total": 0.0, "contrastive": 0.0, "center": 0.0}
         for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
             rows = perm[start : start + config.batch_size]
-            w_slice = None
-            if weights_all is not None:
-                w_slice = SampleWeights(weights_all.values[rows], weights_all.gamma)
+            w_slice = None if weights_row is None else SampleWeights(weights_row[rows], gamma)
             views = workspace.step_views(len(rows))
             for x, batch_x in zip(train_ds.modalities, views.inputs):
                 np.copyto(batch_x, x[rows])  # take(out=) cannot cast float32 to float64
@@ -430,7 +429,7 @@ def train(
         records.append(
             EpochRecord(
                 epoch=epoch,
-                phase=WARMUP if weights_all is None else SELFPACED,
+                phase=WARMUP if weights_row is None else SELFPACED,
                 loss_total=sums["total"] / n_train,
                 loss_contrastive=sums["contrastive"] / n_train if config.loss.alpha > 0 else None,
                 loss_center=sums["center"] / n_train,

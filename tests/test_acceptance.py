@@ -25,7 +25,7 @@ from sphash.data import SynthSpec, generate_synthetic, inject_noise_subset, one_
 from sphash.encoder import backward, encode, forward, init_centers, init_params
 from sphash.fileio import load_checkpoint, save_checkpoint
 from sphash.losses import BatchCodes, LossConfig
-from sphash.pacer import PaceSchedule, SampleWeights, gamma_bounds, refresh_weights
+from sphash.pacer import PaceSchedule, SampleWeights, loss_upper_bound, refresh_weights
 from sphash.seeding import stable_seed
 from sphash.trainer import TrainConfig, binary_codes, train
 
@@ -96,7 +96,7 @@ def bench(tmp_path_factory):
 
 def test_criterion_1_weight_solver_matches_grid_argmin():
     rng = np.random.default_rng(101)
-    _, upper = gamma_bounds(2, 0.5)
+    upper = loss_upper_bound(2, 0.5)
     grid = np.linspace(0.0, 1.0, 10**6)
     penalty = 0.5 * grid * grid - grid
     objective = np.empty_like(grid)  # reused buffer keeps the loop memory-bound
@@ -125,7 +125,7 @@ def test_criterion_2_per_instance_loss_bounds():
     for r in (0.1, 0.5, 1.0):
         for m in (1, 2, 3):
             cfg = LossConfig(r=r)
-            upper = gamma_bounds(m, r)[1]
+            upper = loss_upper_bound(m, r)
             for _ in range(10):
                 batch_size = 112
                 scale = rng.uniform(0.5, 200.0)

@@ -465,9 +465,12 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plutonium": 1}))
-        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
-        assert code == 2
+        out = tmp_path / "d"
+        # noise_rat and se only abbreviate --noise-rate and --seed, with values those flags take
+        for values in ({"plutonium": 1}, {"noise_rat": 0.3}, {"se": 5}):
+            config.write_text(json.dumps(values))
+            assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2, values
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, values",
@@ -638,8 +641,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "pace", [["--gamma", "inf"], ["--gamma", "nan"], ["--gamma-ramp", "1:inf:2"],
-                 ["--gamma-ramp", "1:nan:2"]],
-        ids=["gamma-inf", "gamma-nan", "ramp-to-inf", "ramp-to-nan"],
+                 ["--gamma-ramp", "1:nan:2"],
+                 ["--gamma", "0.5"],  # inside (0, 3.0): it would exclude the hardest instances
+                 ["--r", "0.005"]],  # the default 200 falls below this r's bound 398.01
+        ids=["gamma-inf", "gamma-nan", "ramp-to-inf", "ramp-to-nan", "gamma-inside-bound",
+             "default-inside-bound"],
     )
     def test_non_finite_gamma_override_exit_2_before_training(self, dataset_dir, tmp_path, pace):
         out = tmp_path / "out"

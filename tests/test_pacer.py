@@ -14,9 +14,7 @@ from sphash.losses import BatchCodes, LossConfig, nsh_loss
 from sphash.pacer import (
     PaceSchedule,
     SampleWeights,
-    binarize_weights,
     gamma_at,
-    gamma_bounds,
     loss_upper_bound,
     refresh_weights,
     validate_schedule,
@@ -126,26 +124,11 @@ class TestRegularizer:
 
 
 class TestGammaBounds:
-    def test_known_values(self):
-        assert gamma_bounds(2, 0.5) == (0.0, 3.0)
-        assert gamma_bounds(1, 1.0) == (0.0, 1.0)
-
-    def test_lower_always_zero(self):
-        for m in (1, 2, 5):
-            for r in (0.1, 0.5, 1.0):
-                assert gamma_bounds(m, r)[0] == 0.0
-
     def test_upper_matches_grid_maximum(self):
         for m in (1, 2):
             for r in (0.1, 0.5, 1.0):
-                upper = gamma_bounds(m, r)[1]
+                upper = loss_upper_bound(m, r)
                 assert abs(upper - grid_max_instance_loss(m, r)) < 1e-6
-
-    def test_invalid_r(self):
-        with pytest.raises(ParameterError):
-            gamma_bounds(2, 0.0)
-        with pytest.raises(ParameterError):
-            gamma_bounds(2, 1.0001)
 
 
 class TestPaceSchedule:
@@ -207,16 +190,10 @@ class TestRefreshWeights:
 
 
 class TestVariantsAndPartition:
-    def test_binarize_weights(self):
-        weights = SampleWeights(np.array([0.0, 0.3, 1.0]), gamma=1.0)
-        up = binarize_weights(weights)
-        assert up.values.tolist() == [0.0, 1.0, 1.0]
-
     def test_all_positive_weights_mean_no_noisy(self):
         # every loss below gamma: no instance gets weight zero, none is flagged noisy
         weights = refresh_weights(np.array([0.0, 0.3, 0.8, 0.99]), gamma=1.0)
         assert (weights.values > 0).all()
-        assert (binarize_weights(weights).values == 1.0).all()
 
     def test_sample_weights_validation(self):
         with pytest.raises(ParameterError):

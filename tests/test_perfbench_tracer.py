@@ -11,6 +11,7 @@ call counts of every training run as ``perfbench/run.py --trace 1`` does.
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from sphash import pacer, trainer
-from sphash.data import SynthSpec, generate_synthetic, split
+from sphash.data import SynthSpec, generate_synthetic, split, split_sizes
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -94,7 +95,8 @@ def test_weight_log_counter_reads_the_written_file_size(tmp_path):
 
 def test_traced_training_runs_make_the_expected_calls(tmp_path):
     # a step that stops calling encoder.backward, or a refresh that stops calling
-    # pacer.refresh_weights, fails here and not only under perfbench's --trace 1
+    # pacer.refresh_weights or encoder.encode, fails here and not only under
+    # perfbench's --trace 1
     run = load_by_path("perfbench_run", RUN_PATH)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     n, epochs, warmup, seed = 300, 3, 1, 3
@@ -120,12 +122,15 @@ def test_traced_training_runs_make_the_expected_calls(tmp_path):
                         trace=tmp_path / "sweep.json"),
     }
     variants = {"train": ["full"], "sweep": [variant for _, _, variant in run._grid(grid)]}
+    chunks = math.ceil(split_sizes(n, run.TRAIN_FRAC, run.VAL_FRAC)[0] / trainer._REFRESH_CHUNK)
+    refresh_encodes = run.MODALITIES * chunks * (epochs - warmup)  # per modality, chunk, epoch
     for kind, trace in traces.items():
         assert trace["missing"] == []
         assert len(trace["per_train"]) == len(variants[kind])
         for seen, variant in zip(trace["per_train"], variants[kind]):
             want = run.expected_train_counts(n, epochs, warmup, variant)
             assert {name: seen.get(name, 0) for name in want} == want, (kind, variant)
+            assert seen.get("encoder.encode.refresh", 0) == refresh_encodes, (kind, variant)
 
 
 def test_traced_eval_stays_one_command(tmp_path):

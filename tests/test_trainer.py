@@ -252,7 +252,7 @@ class TestStep:
     (losses_module.cal_loss, ("out",)),
     (losses_module.nsh_loss, ("out",)),
     (step, ("workspace",)),
-    (_full_train_losses, ("workspace",)),
+    (_full_train_losses, ("workspace", "out")),
     (_OptimizerState.apply, ("scratch",)),
 ])
 def test_training_path_buffers_are_required(function, names):
@@ -289,7 +289,7 @@ class TestRefresh:
             for start in (0, 1024)
         ])
         got = _full_train_losses(params, centers, x_all, labels, cfg, epoch=0,
-                                 workspace=_Workspace(params, 128, 1024))
+                                 workspace=_Workspace(params, 128, 1024), out=np.empty(1100))
         assert got.tobytes() == expected.tobytes()
         assert np.unique(got).size > 1000
 
@@ -398,7 +398,10 @@ class TestTrainLoop:
     def test_binarize_weights_variant(self):
         tr, va, _ = tiny_splits()
         report = train(tr, va, tiny_config(variant="binarize_weights"))
-        assert set(np.unique(report.weights)).issubset({0.0, 1.0})
+        gammas = [rec.gamma for rec in report.records[2:]]
+        for losses, weights, gamma in zip(report.instance_losses, report.weights, gammas):
+            admitted = refresh_weights(losses, gamma).values > 0
+            assert weights.tolist() == np.where(admitted, 1.0, 0.0).tolist()
 
     def test_best_params_are_the_weights_validated_at_best_epoch(self, monkeypatch):
         validated = []  # params.flat at each validation, in epoch order
