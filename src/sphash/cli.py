@@ -9,10 +9,13 @@ Subcommands:
   sweep      train+eval over a noise-rate x bits x variant grid and
              aggregate one table
 
-Every command writes a run_manifest.json capturing the fully resolved
-configuration, the seed, and the artifact paths; re-running a command with
-the manifest's argv reproduces every artifact byte for byte (the manifest
-itself records wall-clock time, so compare the artifacts, not the manifest).
+Each ``cmd_*`` returns ``(exit code, config, seed, artifacts)``: the fully
+resolved configuration, the seed, and the artifact names it wrote under
+``--out``. ``main`` then writes run_manifest.json from them, last, and only
+when the command returns: a command that raises writes no manifest.
+Re-running a command with the manifest's argv reproduces every artifact byte
+for byte (the manifest itself records the run's duration, so compare the
+artifacts, not the manifest).
 
 eval and each sweep cell score the T2I direction in a forked child process
 (POSIX ``fork``) while the command's own process scores I2T.
@@ -86,15 +89,6 @@ def _pr_points(text: str) -> int:
     if not 2 <= points <= _MAX_PR_POINTS:
         raise argparse.ArgumentTypeError(f"need 2 to {_MAX_PR_POINTS} recall levels, got {points}")
     return points
-
-
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--config",
-        help="JSON file of flags, read before the command line's own, which win: key k "
-        "with value v is --k=v (underscores for dashes), a list is comma-joined, true is "
-        "the bare switch, false and null are left out",
-    )
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -180,20 +174,6 @@ def _train_config(args, bits: int, variant: str) -> trainer.TrainConfig:
     )
 
 
-def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                        artifacts: list, started: float, argv) -> None:
-    manifest = {
-        "command": command,
-        "argv": list(argv),
-        "config": config,
-        "seed": int(seed),
-        "artifacts": sorted(str(a) for a in artifacts),
-        "tool_version": __version__,
-        "duration_seconds": round(time.time() - started, 3),
-    }
-    write_json(out_dir / "run_manifest.json", manifest)
-
-
 def _synth_spec(args) -> SynthSpec:
     return SynthSpec(
         n=args.n, k=args.k, m=args.m, dims=tuple(args.dims),
@@ -217,16 +197,11 @@ def _write_synthetic(args, spec: SynthSpec, noise_rate: float, out: Path):
     return noised, split_record
 
 
-def cmd_gen_data(args) -> int:
-    started = time.time()
-    out = Path(args.out)
+def cmd_gen_data(args):
     spec = _synth_spec(args)
-    _write_synthetic(args, spec, args.noise_rate, out)
-    artifacts = dataset_files(spec.m)
-    config = {"synth": spec, "noise_rate": args.noise_rate}
-    _write_run_manifest(out, "gen-data", config, args.seed, artifacts, started, args.argv)
-    print(f"wrote dataset with {spec.n} instances to {out}")
-    return 0
+    _write_synthetic(args, spec, args.noise_rate, args.out)
+    print(f"wrote dataset with {spec.n} instances to {args.out}")
+    return 0, {"synth": spec, "noise_rate": args.noise_rate}, args.seed, dataset_files(spec.m)
 
 
 _TRAIN_ARTIFACTS = ("checkpoint.bin", "report.csv", "map_curve.csv", "weights.csv")
@@ -245,20 +220,16 @@ def _run_training(train_ds, val_ds, config: trainer.TrainConfig, out: Path):
     return report
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    dataset, split_record = read_dataset(Path(args.data))
+def cmd_train(args):
+    dataset, split_record = read_dataset(args.data)
     config = trainer.resolve_config(_train_config(args, args.bits, args.variant), dataset.m)
     check_capacity(dataset.class_count, config.code_length)
     train_ds, val_ds, _ = split(dataset, *split_record)
     del dataset  # the two splits hold every row training reads
-    out = Path(args.out)
-    report = _run_training(train_ds, val_ds, config, out)
-    _write_run_manifest(out, "train", {"train": report.config, "data": str(args.data)},
-                        args.seed, _TRAIN_ARTIFACTS, started, args.argv)
+    report = _run_training(train_ds, val_ds, config, args.out)
     print(f"best epoch {report.best_epoch} with validation MAP {report.best_val_map:.4f}; "
-          f"checkpoint at {out / 'checkpoint.bin'}")
-    return 0
+          f"checkpoint at {args.out / 'checkpoint.bin'}")
+    return 0, {"train": report.config, "data": args.data}, args.seed, _TRAIN_ARTIFACTS
 
 
 def _score_direction(params, train_ds, test_ds, direction, pr_points):
@@ -345,10 +316,9 @@ def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int
     return artifacts + ["map.csv"]
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    params, centers = load_checkpoint(Path(args.checkpoint))
-    dataset, split_record = read_dataset(Path(args.data))
+def cmd_eval(args):
+    params, centers = load_checkpoint(args.checkpoint)
+    dataset, split_record = read_dataset(args.data)
     if params.dims != dataset.dims:
         raise CompatibilityError(
             f"checkpoint expects feature dims {params.dims}, dataset has {dataset.dims}"
@@ -373,7 +343,7 @@ def cmd_eval(args) -> int:
             raise CompatibilityError(f"{args.weights}: the last epoch is not this dataset's "
                                      "training split with its noise mask")
 
-    out = Path(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     artifacts = _write_retrieval_scores(params, train_ds, test_ds, out, args.pr_points)
     if dump is not None and noise_mask.any():
@@ -387,13 +357,8 @@ def cmd_eval(args) -> int:
             zip(edges[:-1], edges[1:], histogram.masses.tolist()),
         )
         artifacts += ["noise_detection.json", "weights_histogram.csv"]
-
-    _write_run_manifest(
-        out, "eval",
-        {"checkpoint": str(args.checkpoint), "data": str(args.data), "pr_points": args.pr_points},
-        seed, artifacts, started, args.argv,
-    )
-    return 0
+    config = {"checkpoint": args.checkpoint, "data": args.data, "pr_points": args.pr_points}
+    return 0, config, seed, artifacts
 
 
 def _sweep_grid(args) -> tuple[SynthSpec, dict]:
@@ -421,10 +386,9 @@ def _sweep_grid(args) -> tuple[SynthSpec, dict]:
     return spec, configs
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def cmd_sweep(args):
     spec, configs = _sweep_grid(args)
-    out = Path(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     columns, rows = ["variant"], [[variant] for variant in args.variants]
     failed = False
@@ -453,9 +417,8 @@ def cmd_sweep(args) -> int:
         "split": {"train_frac": args.train_frac, "val_frac": args.val_frac},
         "train": list(configs.values()),
     }
-    _write_run_manifest(out, "sweep", grid, args.seed, ["aggregate.csv"], started, args.argv)
     print(f"aggregate table at {out / 'aggregate.csv'}")
-    return 1 if failed else 0
+    return int(failed), grid, args.seed, ["aggregate.csv"]
 
 
 def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, seed: int,
@@ -478,21 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sphash {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    envelope = argparse.ArgumentParser(add_help=False)  # every command's first two flags
+    envelope.add_argument(
+        "--config",
+        help="JSON file of flags, read before the command line's own, which win: key k "
+        "with value v is --k=v (underscores for dashes), a list is comma-joined, true is "
+        "the bare switch, false and null are left out",
+    )
+    envelope.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p = sub.add_parser("gen-data", help="synthesize a dataset directory")
-    _add_config_flag(p)
+    p = sub.add_parser("gen-data", parents=[envelope], help="synthesize a dataset directory")
     _add_synth_flags(p)
     p.add_argument("--noise-rate", type=float, default=0.0,
                    help="fraction of train-split labels to corrupt (default 0.0)")
     p.add_argument("--seed", type=int, default=SynthSpec.seed,
                    help="generation seed (default %(default)s)")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train hash encoders on a dataset directory")
-    _add_config_flag(p)
+    p = sub.add_parser("train", parents=[envelope],
+                       help="train hash encoders on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--bits", type=int, default=trainer.TrainConfig.code_length,
         help="hash code length; typical settings are 16, 32, 64 or 128 (default %(default)s)",
@@ -504,20 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    _add_config_flag(p)
+    p = sub.add_parser("eval", parents=[envelope], help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True, help="checkpoint file from train")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--weights", default=None,
                    help="weights.csv from train, enables the noise-detection report")
     p.add_argument("--pr-points", type=_pr_points, default=21,
                    help=f"recall levels on the PR curves, 2 to {_MAX_PR_POINTS} (default 21)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="train+eval over a noise x bits x variant grid")
-    _add_config_flag(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("sweep", parents=[envelope],
+                       help="train+eval over a noise x bits x variant grid")
     p.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
                    help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
     p.add_argument("--bits", type=_list_of(int), default=[16, 32, 64, 128],
@@ -560,16 +525,26 @@ def _config_flags(path: str, options) -> list[str]:
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     """argv parsed once, with its --config file's flags put before the command's own."""
-    finder = argparse.ArgumentParser(add_help=False)
-    finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
-    config = finder.parse_known_args(argv)[0].config
     (commands,) = parser._subparsers._group_actions
-    command = commands.choices.get(argv[0]) if config else None
-    if command is None:  # no config, or no command: the top-level options (--help) only exit
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:  # the top-level options (--help, --version) only exit
+        return parser.parse_args(argv)
+    options = command._option_string_actions
+
+    def spelled(token: str) -> str:
+        """--config for a prefix of it that no other flag shares, as the command reads it."""
+        flag, equals, value = token.partition("=")
+        unique = [option for option in options if option.startswith(flag)] == ["--config"]
+        return "--config" + equals + value if flag.startswith("--") and unique else token
+
+    # an ambiguous prefix is not --config here, and the full parse exits 2 on it
+    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
+    config = finder.parse_known_args([spelled(token) for token in argv])[0].config
+    if config is None:
         return parser.parse_args(argv)
     try:
-        return parser.parse_args(argv[:1] + _config_flags(config, command._option_string_actions)
-                                 + argv[1:])
+        return parser.parse_args(argv[:1] + _config_flags(config, options) + argv[1:])
     except SystemExit as exc:  # argparse has printed which flag failed
         if not exc.code:  # --help
             raise
@@ -581,8 +556,18 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse_args(parser, argv)
-        args.argv = argv
-        return args.func(args)
+        started = time.perf_counter()
+        code, config, seed, artifacts = args.func(args)
+        write_json(args.out / "run_manifest.json", {
+            "command": args.command,
+            "argv": argv,
+            "config": config,
+            "seed": int(seed),
+            "artifacts": sorted(artifacts),
+            "tool_version": __version__,
+            "duration_seconds": round(time.perf_counter() - started, 3),
+        })
+        return code
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

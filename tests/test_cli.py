@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import shutil
@@ -95,15 +96,36 @@ class TestGenData:
         assert manifest["artifacts"]
         assert "duration_seconds" in manifest
 
-    def test_run_manifest_lists_only_the_files_it_wrote(self, tmp_path):
-        (tmp_path / "stale.fmat").touch()
-        (tmp_path / "old.lmat").touch()
+    def test_duration_is_not_negative_when_the_wall_clock_steps_back(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(time, "time", itertools.count(1.7e9, -3600.0).__next__)
         assert main(GEN_ARGS + ["--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["artifacts"] == [
-            "labels.lmat", "manifest.json", "modality_0.fmat", "modality_1.fmat",
-            "noise_mask.lmat", "true_labels.lmat",
-        ]
+        assert manifest["duration_seconds"] >= 0
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "eval-weights", "sweep"])
+    def test_run_manifest_lists_only_the_files_it_wrote(self, dataset_dir, train_dir, tmp_path,
+                                                         command):
+        (tmp_path / "stale.fmat").touch()
+        (tmp_path / "old.lmat").touch()
+        (tmp_path / "stale.csv").touch()
+        evaluate = ["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                    "--data", str(dataset_dir)]
+        argv, listed = {
+            "gen-data": (GEN_ARGS, ["labels.lmat", "manifest.json", "modality_0.fmat",
+                                    "modality_1.fmat", "noise_mask.lmat", "true_labels.lmat"]),
+            "train": (TRAIN_ARGS + ["--data", str(dataset_dir)],
+                      ["checkpoint.bin", "map_curve.csv", "report.csv", "weights.csv"]),
+            "eval": (evaluate, ["map.csv", "pr_i2t.csv", "pr_t2i.csv"]),
+            "eval-weights": (evaluate + ["--weights", str(train_dir / "weights.csv")],
+                             ["map.csv", "noise_detection.json", "pr_i2t.csv", "pr_t2i.csv",
+                              "weights_histogram.csv"]),
+            "sweep": (SWEEP_ARGS + ["--noise-rates", "0.2", "--variants", "full"],
+                      ["aggregate.csv"]),
+        }[command]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == listed
 
 
 class TestTrain:
@@ -521,6 +543,29 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 120}))
         assert main(["gen-data", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "sweep"])
+    def test_ambiguous_prefix_of_config_exit_2_before_the_file_is_read(
+            self, dataset_dir, train_dir, tmp_path, command):
+        # --c also abbreviates --class-separation, --clean-val or --checkpoint
+        paths = {"train": ["--data", str(dataset_dir)],
+                 "eval": ["--checkpoint", str(train_dir / "checkpoint.bin"),
+                          "--data", str(dataset_dir)]}
+        out = tmp_path / "out"
+        argv = [command, "--c", str(tmp_path / "missing.json"), *paths.get(command, []),
+                "--out", str(out)]
+        assert _exit_code(argv) == 2
+        assert not out.exists()
+
+    def test_unambiguous_prefix_of_config_applies_the_file(self, dataset_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bits": 6, "hidden": 12, "batch_size": 16, "warmup": 1,
+                                      "epochs": 3, "alpha": 0.1, "seed": 7}))
+        out = tmp_path / "model"
+        assert main(["train", "--conf", str(config), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["train"]["code_length"] == 6
 
     def test_sweep_lists_match_flags(self, sweep_dir, tmp_path):
         config = tmp_path / "config.json"
