@@ -41,6 +41,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, evaluator, trainer
 from .data import (SynthSpec, generate_synthetic, inject_noise_subset, split, split_rows,
                    split_sizes)
@@ -133,7 +135,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="weight of the contrastive term in the objective (default %(default)s)")
     p.add_argument(
         "--gamma", type=float, default=None,
-        help="fixed pace parameter; default is half the per-instance loss upper bound",
+        help="fixed pace parameter; default is half the per-instance loss upper bound, "
+        f"or {trainer._GAMMA_OVERRIDE_DEFAULT:g} under gamma_override",
     )
     p.add_argument(
         "--gamma-ramp", type=_gamma_ramp, default=None, metavar="START:END:EPOCHS",
@@ -241,7 +244,7 @@ def _score_direction(params, train_ds, test_ds, direction, pr_points):
     name, query, gallery = direction
     task = evaluator.RetrievalTask(
         trainer.binary_codes(params, test_ds, query), test_ds.true_labels,
-        trainer.binary_codes(params, train_ds, gallery), train_ds.true_labels, name,
+        trainer.binary_codes(params, train_ds, gallery), train_ds.true_labels,
     )
     curve = None if pr_points is None else evaluator.pr_curve(task, pr_points)
     return name, evaluator.mean_average_precision(task), curve
@@ -309,8 +312,7 @@ def _write_retrieval_scores(params, train_ds, test_ds, out: Path, pr_points: int
         direction = name.lower()
         map_rows.append((direction, score))
         print(f"map_{direction} {score:.4f}")
-        pr_rows = [(p.x, p.y) for p in points]
-        write_csv(out / f"pr_{direction}.csv", ("recall", "precision"), pr_rows)
+        write_csv(out / f"pr_{direction}.csv", ("recall", "precision"), points)
         artifacts.append(f"pr_{direction}.csv")
     write_csv(out / "map.csv", ("direction", "map"), map_rows)
     return artifacts + ["map.csv"]
@@ -349,13 +351,10 @@ def cmd_eval(args):
     if dump is not None and noise_mask.any():
         score = evaluator.noise_detection_score(weights, noise_mask[idx])
         write_json(out / "noise_detection.json", score)
-        histogram = evaluator.weight_density(weights, bins=20)
-        edges = histogram.edges.tolist()
-        write_csv(
-            out / "weights_histogram.csv",
-            ("bin_left", "bin_right", "density"),
-            zip(edges[:-1], edges[1:], histogram.masses.tolist()),
-        )
+        counts, edges = np.histogram(weights, bins=20, range=(0.0, 1.0))
+        edges = edges.tolist()
+        write_csv(out / "weights_histogram.csv", ("bin_left", "bin_right", "density"),
+                  zip(edges[:-1], edges[1:], (counts / weights.size).tolist()))
         artifacts += ["noise_detection.json", "weights_histogram.csv"]
     config = {"checkpoint": args.checkpoint, "data": args.data, "pr_points": args.pr_points}
     return 0, config, seed, artifacts

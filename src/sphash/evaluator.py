@@ -36,7 +36,6 @@ class RetrievalTask:
     query_labels: np.ndarray    # (Q, K) in {0,1}
     gallery_codes: np.ndarray   # (G, L)
     gallery_labels: np.ndarray  # (G, K)
-    direction: str = ""
 
     def __post_init__(self):
         if self.query_codes.ndim != 2 or self.gallery_codes.ndim != 2:
@@ -94,25 +93,10 @@ def _ranked_chunk(query_words, gallery_words, query_labels, gallery_labels) -> n
     return relevance.ravel().take(order)
 
 
-# each direction every model is scored in: (name, query modality, gallery modality)
+# each direction every model is scored in: (name, query modality, gallery modality).
+# Datasets have exactly two modalities (``MultiModalDataset.validate`` rejects any
+# other count), so I2T and T2I cover every cross-modal direction.
 DIRECTIONS = (("I2T", 0, 1), ("T2I", 1, 0))
-
-
-def cross_modal_tasks(
-    query_codes, query_labels, gallery_codes, gallery_labels
-) -> tuple[RetrievalTask, RetrievalTask]:
-    """The two ``DIRECTIONS``' tasks: (I2T, T2I).
-
-    I2T ranks the modality-1 gallery for modality-0 queries; T2I the reverse.
-    ``query_codes`` and ``gallery_codes`` are per-modality code matrices.
-    Datasets have exactly two modalities (``MultiModalDataset.validate``
-    rejects any other count), so the pair covers every cross-modal direction.
-    """
-    return tuple(
-        RetrievalTask(query_codes[query], query_labels, gallery_codes[gallery], gallery_labels,
-                      name)
-        for name, query, gallery in DIRECTIONS
-    )
 
 
 def mean_average_precision(task: RetrievalTask) -> float:
@@ -125,14 +109,8 @@ def mean_average_precision(task: RetrievalTask) -> float:
     return float(np.cumsum(scores)[-1]) / n_query  # adds in fixed index order: bit-stable
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    x: float
-    y: float
-
-
-def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
-    """Precision at interpolated recall levels 0..1, averaged over queries.
+def pr_curve(task: RetrievalTask, num_points: int) -> list[tuple[float, float]]:
+    """(recall, precision) pairs: precision at recall levels 0..1, averaged over queries.
 
     Per query the precision at recall level t is the maximum precision over
     all ranking prefixes whose recall reaches t; queries without a relevant
@@ -156,7 +134,7 @@ def pr_curve(task: RetrievalTask, num_points: int) -> list[CurvePoint]:
             at = np.searchsorted(np.arange(1, total + 1) / total, levels, side="left")
             precision_sum += best[at]
     mean_precision = precision_sum / n_query
-    return [CurvePoint(float(x), float(y)) for x, y in zip(levels, mean_precision)]
+    return [(float(x), float(y)) for x, y in zip(levels, mean_precision)]
 
 
 @dataclass(frozen=True)
@@ -210,20 +188,3 @@ def noise_detection_score(weights: np.ndarray, mask: np.ndarray) -> NoiseDetecti
         u_clean = ranks[~mask].sum() - n_clean * (n_clean + 1) / 2.0
         auc = u_clean / (n_clean * n_noisy)
     return NoiseDetectionScore(precision, recall, f1, float(auc))
-
-
-@dataclass
-class WeightHistogram:
-    edges: np.ndarray   # (bins + 1,)
-    masses: np.ndarray  # (bins,), sums to 1
-
-
-def weight_density(weights: np.ndarray, bins: int) -> WeightHistogram:
-    """Normalized histogram of weights over [0, 1]."""
-    if bins < 2:
-        raise ParameterError(f"bins={bins} must be >= 2")
-    values = np.asarray(weights, dtype=float)
-    if values.size == 0:
-        raise ParameterError("cannot histogram an empty weight vector")
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
-    return WeightHistogram(edges, counts / values.size)

@@ -5,7 +5,8 @@ closed form w* = max(0, 1 - loss/gamma): instances whose loss reaches the
 pace parameter gamma get weight zero and are treated as mislabeled, easy
 instances get weight near one, and raising gamma admits harder instances.
 Gamma itself must stay inside (0, loss_upper_bound) or the mechanism
-degenerates (nothing selected / everything selected).
+degenerates (nothing selected / everything selected); ``trainer.resolve_config``
+rejects a schedule that leaves it.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ class PaceSchedule:
 def loss_upper_bound(n_modalities: int, r: float) -> float:
     """Largest possible per-instance loss, attained when every v_m = 0."""
     return n_modalities * (r * r - r + 1.0) / r
-
-
-def validate_schedule(schedule: PaceSchedule, n_modalities: int, r: float) -> None:
-    """Reject schedules whose gamma could leave the admissible interval."""
-    upper = loss_upper_bound(n_modalities, r)
-    if not schedule.resolved_end < upper:
-        raise ParameterError(
-            f"gamma reaches {schedule.resolved_end}, outside (0, {upper}) for "
-            f"M={n_modalities}, r={r}"
-        )
 
 
 def gamma_at(schedule: PaceSchedule, epoch: int) -> float:

@@ -130,7 +130,9 @@ def resolve_config(config: TrainConfig, n_modalities: int) -> TrainConfig:
                                  f"loss bound {upper} for M={n_modalities}, r={loss_cfg.r}")
     else:
         pace = pace or PaceSchedule(gamma_start=0.5 * upper)
-        pacer.validate_schedule(pace, n_modalities, loss_cfg.r)
+        if not pace.resolved_end < upper:  # the admissible interval is (0, upper)
+            raise ParameterError(f"gamma reaches {pace.resolved_end}, outside (0, {upper}) for "
+                                 f"M={n_modalities}, r={loss_cfg.r}")
     return dataclasses.replace(config, loss=loss_cfg, warmup_epochs=warmup, pace=pace)
 
 
@@ -361,7 +363,8 @@ def _validation_map(
     codes = [binary_codes(params, val_ds, modality, (hidden, relaxed[:rows]))
              for modality in range(val_ds.m)]
     labels = val_ds.true_labels if clean_val else val_ds.labels
-    i2t, t2i = evaluator.cross_modal_tasks(codes, labels, codes, labels)
+    i2t, t2i = (evaluator.RetrievalTask(codes[query], labels, codes[gallery], labels)
+                for _, query, gallery in evaluator.DIRECTIONS)
     return evaluator.mean_average_precision(i2t), evaluator.mean_average_precision(t2i)
 
 

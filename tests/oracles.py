@@ -181,3 +181,20 @@ def final_weight_dump_reference(path):
     idx = np.array([int(row["instance_index"]) for row in final])
     weights = np.array([float(row["weight"]) for row in final])
     return idx, weights
+
+
+def weight_histogram_reference(weights, bins: int = 20):
+    """(bin_left, bin_right, density) rows of weights over [0, 1], one bin per loop step.
+
+    Each weight goes to the bin whose left edge it reaches and whose right edge
+    it stays below, so a weight on an edge falls in the bin that edge opens;
+    1.0 goes to the last bin. Density is the bin's count over all weights.
+    """
+    edges = np.linspace(0.0, 1.0, bins + 1).tolist()
+    counts = [0] * bins
+    for weight in weights:
+        for b in range(bins):
+            if edges[b] <= weight < edges[b + 1] or (b == bins - 1 and weight == 1.0):
+                counts[b] += 1
+                break
+    return [(edges[b], edges[b + 1], counts[b] / len(weights)) for b in range(bins)]

@@ -66,7 +66,8 @@ def train_benchmark(noise: float, variant: str, tmp_path_factory):
     g = [binary_codes(params, tr, m) for m in range(tr.m)]
     i2t, t2i = (
         evaluator.mean_average_precision(task)
-        for task in evaluator.cross_modal_tasks(q, te.true_labels, g, tr.true_labels)
+        for task in (evaluator.RetrievalTask(q[0], te.true_labels, g[1], tr.true_labels),
+                     evaluator.RetrievalTask(q[1], te.true_labels, g[0], tr.true_labels))
     )
     # row i of the history is epoch warmup + i; a best epoch in warm-up scores row 0
     at_best = rep.weights[max(rep.best_epoch - rep.config.warmup_epochs, 0)]

@@ -19,11 +19,12 @@ from sphash.cli import _list_of, build_parser, main
 from sphash.data import SynthSpec, generate_synthetic, split
 from sphash.encoder import init_params
 from sphash.errors import ShapeError, TrainingDivergedError
-from sphash.evaluator import cross_modal_tasks, mean_average_precision, pr_curve
+from sphash.evaluator import RetrievalTask, mean_average_precision, pr_curve
 from sphash.fileio import load_checkpoint, read_dataset, write_csv
 from sphash.kernels import QUERY_CHUNK
 from sphash.trainer import TrainConfig, binary_codes
-from oracles import final_weight_dump_reference, naive_pr_curve, ranked_relevance_reference
+from oracles import (final_weight_dump_reference, naive_pr_curve, ranked_relevance_reference,
+                     weight_histogram_reference)
 
 
 def artifact_bytes(directory, skip=("run_manifest.json",)):
@@ -206,6 +207,26 @@ class TestEval:
         write_csv(expected, ("recall", "precision"), naive_pr_curve(ranked, 21))
         assert (out / "pr_i2t.csv").read_bytes() == expected.read_bytes()
 
+    def test_weights_histogram_matches_oracle_bytes(self, dataset_dir, train_dir, tmp_path):
+        # bin edges (0.0, 0.05, 0.5), the top of the range (1.0) and values between them
+        chosen = [0.0, 0.05, 0.5, 1.0, 0.049999, 0.3, 0.72, 0.95, 0.999999]
+        header, *lines = (train_dir / "weights.csv").read_text().splitlines()
+        last = max(int(line.split(",", 1)[0]) for line in lines)
+        rewritten, weights = [], []
+        for line in lines:
+            epoch, index, loss, weight, noisy = line.split(",")
+            if int(epoch) == last:  # rows and noise flags stay; only the weight changes
+                weight = str(chosen[len(weights) % len(chosen)])
+                weights.append(float(weight))
+            rewritten.append(",".join((epoch, index, loss, weight, noisy)))
+        dump, out = tmp_path / "weights.csv", tmp_path / "out"
+        dump.write_text("\n".join([header, *rewritten]) + "\n")
+        assert eval_with_weights(train_dir, dataset_dir, dump, out) == 0
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, ("bin_left", "bin_right", "density"),
+                  weight_histogram_reference(weights))
+        assert (out / "weights_histogram.csv").read_bytes() == expected.read_bytes()
+
     def test_incompatible_dims_exit_5(self, train_dir, tmp_path):
         other = tmp_path / "other_data"
         assert main(
@@ -381,12 +402,14 @@ def scoring_splits():
 class TestScoringProcesses:
     def test_scores_equal_one_process_scoring(self, scoring_splits):
         params, train_ds, test_ds = scoring_splits
-        tasks = cross_modal_tasks(
-            [binary_codes(params, test_ds, m) for m in range(test_ds.m)], test_ds.true_labels,
-            [binary_codes(params, train_ds, m) for m in range(train_ds.m)], train_ds.true_labels,
-        )
+        query = [binary_codes(params, test_ds, m) for m in range(test_ds.m)]
+        gallery = [binary_codes(params, train_ds, m) for m in range(train_ds.m)]
+        # I2T: modality-0 test queries against the modality-1 train gallery; T2I the reverse
+        labels = test_ds.true_labels, train_ds.true_labels
+        tasks = [("I2T", RetrievalTask(query[0], labels[0], gallery[1], labels[1])),
+                 ("T2I", RetrievalTask(query[1], labels[0], gallery[0], labels[1]))]
         # 10,001 points pickle to more than a pipe's 64 KB buffer
-        expected = [(t.direction, mean_average_precision(t), pr_curve(t, 10_001)) for t in tasks]
+        expected = [(name, mean_average_precision(t), pr_curve(t, 10_001)) for name, t in tasks]
         assert cli_module._test_split_scores(params, train_ds, test_ds, 10_001) == expected
         assert cli_module._test_split_scores(params, train_ds, test_ds) == [
             (direction, score, None) for direction, score, _ in expected]

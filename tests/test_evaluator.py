@@ -18,11 +18,9 @@ from sphash.errors import ParameterError, ShapeError
 from sphash import kernels
 from sphash.evaluator import (
     RetrievalTask,
-    cross_modal_tasks,
     mean_average_precision,
     noise_detection_score,
     pr_curve,
-    weight_density,
 )
 from sphash.fileio import write_csv
 
@@ -252,17 +250,6 @@ class TestRankOnce:
         assert task.packed_ranking.shape == (2000, 875)
         assert peak < 8_000_000
 
-    def test_cross_modal_directions(self):
-        rng = np.random.default_rng(15)
-        query = [rng.choice([-1, 1], (3, 8)).astype(np.int8) for _ in range(2)]
-        gallery = [rng.choice([-1, 1], (5, 8)).astype(np.int8) for _ in range(2)]
-        q_labels, g_labels = one_hot(np.arange(3) % 2, 2), one_hot(np.arange(5) % 2, 2)
-        i2t, t2i = cross_modal_tasks(query, q_labels, gallery, g_labels)
-        assert (i2t.direction, t2i.direction) == ("I2T", "T2I")
-        assert i2t.query_codes is query[0] and i2t.gallery_codes is gallery[1]
-        assert t2i.query_codes is query[1] and t2i.gallery_codes is gallery[0]
-        assert i2t.query_labels is q_labels and t2i.gallery_labels is g_labels
-
 
 def average_precision(relevance) -> float:
     """AP of one ranked relevance list, from the kernel mean_average_precision runs."""
@@ -363,19 +350,19 @@ class TestPrCurve:
         labels = one_hot(np.repeat([0, 1], 3), 2)
         task = RetrievalTask(codes, labels, codes.copy(), labels.copy())
         points = pr_curve(task, 11)
-        assert all(p.y == 1.0 for p in points)
+        assert all(y == 1.0 for _, y in points)
 
     def test_recall_levels_strictly_increasing(self):
         rng = np.random.default_rng(7)
         points = pr_curve(random_task(rng), 21)
-        recalls = [p.x for p in points]
+        recalls = [x for x, _ in points]
         assert recalls[0] == 0.0 and recalls[-1] == 1.0
         assert all(b > a for a, b in zip(recalls, recalls[1:]))
 
     def test_precisions_in_unit_interval(self):
         rng = np.random.default_rng(8)
         points = pr_curve(random_task(rng, n_query=8, n_gallery=50), 11)
-        assert all(0.0 <= p.y <= 1.0 for p in points)
+        assert all(0.0 <= y <= 1.0 for _, y in points)
 
     def test_full_recall_precision_is_relevant_fraction_when_last_is_relevant(self):
         rng = np.random.default_rng(9)
@@ -390,7 +377,7 @@ class TestPrCurve:
         labels[~relevant, 1] = 1
         task = RetrievalTask(query, np.array([[1, 0]], dtype=np.uint8), gallery, labels)
         points = pr_curve(task, 5)
-        assert np.isclose(points[-1].y, relevant.sum() / 20, atol=1e-12)
+        assert np.isclose(points[-1][1], relevant.sum() / 20, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(rel=ragged_relevance(), num_points=st.sampled_from([2, 3, 21, 10001]))
@@ -398,7 +385,7 @@ class TestPrCurve:
         task = task_ranked_as(rel)
         assert np.array_equal(task.ranked_relevance(), rel)
         points = pr_curve(task, num_points)
-        assert [(p.x, p.y) for p in points] == naive_pr_curve(rel, num_points)
+        assert points == naive_pr_curve(rel, num_points)
 
     def test_num_points_validated(self):
         rng = np.random.default_rng(10)
@@ -409,7 +396,7 @@ class TestPrCurve:
         rng = np.random.default_rng(11)
         points = pr_curve(random_task(rng), 3)
         path = tmp_path / "pr.csv"
-        write_csv(path, ("recall", "precision"), [(p.x, p.y) for p in points])
+        write_csv(path, ("recall", "precision"), points)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "recall,precision"
         assert len(lines) == 4
@@ -452,26 +439,3 @@ class TestNoiseDetection:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             noise_detection_score(np.ones(3), np.zeros(4, dtype=bool))
-
-
-class TestWeightDensity:
-    def test_all_ones_in_top_bin(self):
-        hist = weight_density(np.ones(50), bins=10)
-        assert hist.masses[-1] == 1.0
-        assert hist.masses[:-1].sum() == 0.0
-
-    def test_masses_sum_to_one(self):
-        rng = np.random.default_rng(12)
-        hist = weight_density(rng.uniform(0, 1, 1000), bins=7)
-        assert abs(hist.masses.sum() - 1.0) < 1e-9
-
-    def test_uniform_weights_give_flat_histogram(self):
-        rng = np.random.default_rng(13)
-        n, bins = 10**5, 10
-        hist = weight_density(rng.uniform(0, 1, n), bins=bins)
-        sigma = np.sqrt((1 / bins) * (1 - 1 / bins) / n)
-        assert (np.abs(hist.masses - 1 / bins) < 5 * sigma).all()
-
-    def test_bins_validated(self):
-        with pytest.raises(ParameterError):
-            weight_density(np.ones(5), bins=1)

@@ -17,8 +17,8 @@ from sphash.pacer import (
     gamma_at,
     loss_upper_bound,
     refresh_weights,
-    validate_schedule,
 )
+from sphash.trainer import TrainConfig, resolve_config
 
 
 def optimal_weight(loss: float, gamma: float) -> float:
@@ -160,9 +160,10 @@ class TestPaceSchedule:
 
     def test_schedule_must_stay_inside_bounds(self):
         sched = PaceSchedule(gamma_start=1.0)
-        validate_schedule(sched, 2, 0.5)  # upper bound 3.0
+        resolve_config(TrainConfig(loss=LossConfig(r=0.5), pace=sched), 2)  # upper bound 3.0
         with pytest.raises(ParameterError):
-            validate_schedule(PaceSchedule(gamma_start=3.0), 2, 0.5)
+            resolve_config(TrainConfig(loss=LossConfig(r=0.5),
+                                       pace=PaceSchedule(gamma_start=3.0)), 2)
 
 
 class TestRefreshWeights:

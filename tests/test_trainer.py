@@ -15,7 +15,7 @@ import sphash.trainer as trainer_module
 from sphash.data import MultiModalDataset, SynthSpec, generate_synthetic, inject_noise_subset, split
 from sphash.encoder import init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
-from sphash.evaluator import cross_modal_tasks, mean_average_precision
+from sphash.evaluator import RetrievalTask, mean_average_precision
 from sphash.fileio import WEIGHT_LOG_COLUMNS, read_weight_log, save_checkpoint, write_csv
 from sphash.losses import BatchCodes, LossConfig, per_instance_loss
 from sphash.pacer import PaceSchedule, SampleWeights, refresh_weights
@@ -317,7 +317,9 @@ class TestValidation:
         assert va.n > tr.n
         report = train(tr, va, tiny_config(code_length=bits, warmup_epochs=0, max_epochs=1))
         codes = [binary_codes(report.best_params, va, m) for m in range(va.m)]  # no workspace
-        i2t, t2i = cross_modal_tasks(codes, va.labels, codes, va.labels)
+        # I2T: modality-0 queries against the modality-1 gallery; T2I the reverse
+        i2t = RetrievalTask(codes[0], va.labels, codes[1], va.labels)
+        t2i = RetrievalTask(codes[1], va.labels, codes[0], va.labels)
         record = report.records[0]
         assert (record.val_map_i2t, record.val_map_t2i) == (
             mean_average_precision(i2t), mean_average_precision(t2i))
