@@ -1,5 +1,11 @@
 """Self-paced cross-modal hashing robust to noisy labels."""
 
+import os
+
+# one BLAS thread per process, set before numpy loads its BLAS; a value already set wins
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
 from .data import MultiModalDataset, SynthSpec, generate_synthetic, inject_symmetric_noise, split

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LabelError, ParameterError
+from .errors import ParameterError
 from .seeding import spawn_rng
 
 _LATENT_DIM = 16
@@ -80,14 +80,14 @@ class MultiModalDataset:
                 raise ParameterError(f"modality {i} contains non-finite values")
         for name, lab in (("labels", self.labels), ("true_labels", self.true_labels)):
             if lab.shape != (n, self.class_count):
-                raise LabelError(f"{name} shape {lab.shape} != ({n}, {self.class_count})")
+                raise ParameterError(f"{name} shape {lab.shape} != ({n}, {self.class_count})")
             if not np.isin(lab, (0, 1)).all():
-                raise LabelError(f"{name} entries must be 0 or 1")
+                raise ParameterError(f"{name} entries must be 0 or 1")
             if (lab.sum(axis=1) == 0).any():
-                raise LabelError(f"{name} has a row without any class")
+                raise ParameterError(f"{name} has a row without any class")
         differs = (self.labels != self.true_labels).any(axis=1)
         if not np.array_equal(differs, self.noise_mask.astype(bool)):
-            raise LabelError("noise_mask inconsistent with labels vs true_labels")
+            raise ParameterError("noise_mask inconsistent with labels vs true_labels")
 
     def take(self, rows: np.ndarray) -> "MultiModalDataset":
         """Row-subset carrying labels, mask, and provenance indices along."""
@@ -172,7 +172,7 @@ def inject_symmetric_noise(
         raise ParameterError(f"noise rate {rate} outside [0, 1]")
     labels = np.asarray(labels)
     if not is_single_label(labels):
-        raise LabelError("symmetric noise requires single-label (one-hot) rows")
+        raise ParameterError("symmetric noise requires single-label (one-hot) rows")
 
     n, k = labels.shape
     n_flip = int(np.floor(rate * n + 0.5))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ShapeError
+from .errors import ParameterError
 from .seeding import spawn_rng
 
 
@@ -71,7 +71,7 @@ class HashEncoderParams:
         self.dims = tuple(int(d) for d in self.dims)
         size = flat_size(self.dims, self.hidden_dim, self.code_length)
         if self.flat.shape != (size,):
-            raise ShapeError(f"flat weights have shape {self.flat.shape}, expected ({size},)")
+            raise ParameterError(f"flat weights have shape {self.flat.shape}, expected ({size},)")
 
     @property
     def modalities(self) -> list[ModalityParams]:
@@ -109,7 +109,7 @@ def forward(
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mod.input_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
+        raise ParameterError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
     hidden, codes = out
     np.matmul(x, mod.w1, out=hidden)
     hidden += mod.b1
@@ -153,12 +153,12 @@ def backward(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     grad_codes = np.atleast_2d(np.asarray(grad_codes, dtype=np.float64))
     if x.shape[-1] != mod.input_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
+        raise ParameterError(f"input dim {x.shape[-1]} != encoder dim {mod.input_dim}")
     rows, (d, h), l = x.shape[0], mod.w1.shape, mod.w2.shape[1]
     got = (hidden.shape, codes.shape, grad_codes.shape)
     want = ((rows, h), (rows, l), (rows, l))
     if got != want:
-        raise ShapeError(f"hidden, codes and grad shapes {got} != {want}")
+        raise ParameterError(f"hidden, codes and grad shapes {got} != {want}")
     dz2, dz1, factor = carve(scratch, (rows, l), (rows, h), (rows, h))
     grad_w1, grad_b1, grad_w2, grad_b2 = carve(out, (d, h), (h,), (h, l), (l,))
 
@@ -185,9 +185,9 @@ def binarize(codes: np.ndarray) -> np.ndarray:
 
 
 def check_capacity(class_count: int, code_length: int) -> None:
-    """CapacityError unless {-1,+1}^code_length holds class_count distinct centers."""
+    """ParameterError unless {-1,+1}^code_length holds class_count distinct centers."""
     if 2**code_length < class_count:
-        raise CapacityError(
+        raise ParameterError(
             f"cannot place {class_count} distinct centers in {{-1,+1}}^{code_length}"
         )
 

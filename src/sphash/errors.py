@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code.
+
+``cli.main`` maps ``ParameterError`` to exit 2, ``FormatError`` (an
+``OSError``, like every I/O failure) to 3, ``TrainingDivergedError`` to 4
+and ``CompatibilityError`` to 5. Each message names the check that failed.
+"""
 
 
 class SphashError(Exception):
@@ -6,35 +11,11 @@ class SphashError(Exception):
 
 
 class ParameterError(SphashError, ValueError):
-    """An argument is outside its documented domain."""
-
-
-class ShapeError(ParameterError):
-    """Array dimensions do not line up."""
-
-
-class LabelError(ParameterError):
-    """A label matrix violates its contract (empty row, multi-hot where unsupported)."""
-
-
-class CapacityError(ParameterError):
-    """Requested more distinct binary codes than the code length can hold."""
+    """An argument, array shape or label matrix is outside its documented domain."""
 
 
 class FormatError(SphashError, IOError):
-    """A binary file does not match its declared on-disk layout."""
-
-
-class BadMagicError(FormatError):
-    """Leading magic bytes identify a different (or corrupt) file type."""
-
-
-class TruncatedPayloadError(FormatError):
-    """File ends before the payload declared in its header."""
-
-
-class DimensionOverflowError(FormatError):
-    """Header declares dimensions too large to be a plausible payload."""
+    """A file does not match its declared on-disk layout."""
 
 
 class CompatibilityError(SphashError, ValueError):

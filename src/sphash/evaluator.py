@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 
 @dataclass
@@ -39,22 +39,22 @@ class RetrievalTask:
 
     def __post_init__(self):
         if self.query_codes.ndim != 2 or self.gallery_codes.ndim != 2:
-            raise ShapeError("codes must be 2-d matrices")
+            raise ParameterError("codes must be 2-d matrices")
         if self.query_codes.shape[1] != self.gallery_codes.shape[1]:
-            raise ShapeError(
+            raise ParameterError(
                 f"query code length {self.query_codes.shape[1]} != "
                 f"gallery code length {self.gallery_codes.shape[1]}"
             )
         if self.query_codes.shape[0] == 0 or self.gallery_codes.shape[0] == 0:
-            raise ShapeError("need at least one query and one gallery item")
+            raise ParameterError("need at least one query and one gallery item")
         if self.query_labels.ndim != 2 or self.gallery_labels.ndim != 2:
-            raise ShapeError("labels must be 2-d matrices")
+            raise ParameterError("labels must be 2-d matrices")
         if self.query_labels.shape[1] != self.gallery_labels.shape[1]:
-            raise ShapeError("query and gallery labels differ in class count")
+            raise ParameterError("query and gallery labels differ in class count")
         if self.query_labels.shape[0] != self.query_codes.shape[0]:
-            raise ShapeError("query labels do not match query codes")
+            raise ParameterError("query labels do not match query codes")
         if self.gallery_labels.shape[0] != self.gallery_codes.shape[0]:
-            raise ShapeError("gallery labels do not match gallery codes")
+            raise ParameterError("gallery labels do not match gallery codes")
 
     @cached_property
     def packed_ranking(self) -> np.ndarray:
@@ -166,7 +166,7 @@ def noise_detection_score(weights: np.ndarray, mask: np.ndarray) -> NoiseDetecti
     values = np.asarray(weights, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if values.shape != mask.shape:
-        raise ShapeError(f"weights {values.shape} vs mask {mask.shape}")
+        raise ParameterError(f"weights {values.shape} vs mask {mask.shape}")
 
     predicted = values == 0.0
     tp = int((predicted & mask).sum())

@@ -38,13 +38,7 @@ import numpy as np
 
 from .data import MultiModalDataset, split_sizes
 from .encoder import HashEncoderParams, flat_size
-from .errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    FormatError,
-    ParameterError,
-    TruncatedPayloadError,
-)
+from .errors import FormatError, ParameterError
 
 FEATURE_MAGIC = b"FMAT"
 LABEL_MAGIC = b"LMAT"
@@ -154,10 +148,10 @@ class _Reader:
     def __init__(self, path, magic: bytes):
         self.path, self.raw = path, Path(path).read_bytes()
         if len(self.raw) < _HEADER.size:
-            raise TruncatedPayloadError(f"{path}: file shorter than header")
+            raise FormatError(f"{path}: file shorter than header")
         got, version, reserved, *self.sizes = _HEADER.unpack_from(self.raw)
         if got != magic:
-            raise BadMagicError(f"{path}: bad magic {got!r}, expected {magic!r}")
+            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if reserved != 0:
@@ -170,7 +164,7 @@ class _Reader:
         block = self.raw[self.offset : self.offset + count * itemsize]
         if len(block) < count * itemsize:
             row_bytes = count // shape[0] * itemsize
-            raise TruncatedPayloadError(
+            raise FormatError(
                 f"{self.path}: payload holds {len(block) // row_bytes} of {shape[0]} declared rows"
             )
         self.offset += len(block)
@@ -197,7 +191,7 @@ def _load_matrix(path, magic: bytes, dtype) -> np.ndarray:
     if rows == 0 or cols == 0:
         raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
     if rows * cols > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: header declares {rows}x{cols} elements")
+        raise FormatError(f"{path}: header declares {rows}x{cols} elements")
     matrix = reader.take((rows, cols), dtype)
     reader.finish()
     return matrix
@@ -341,7 +335,7 @@ def load_checkpoint(path) -> tuple[HashEncoderParams, np.ndarray]:
     if n_mod == 0 or n_mod > 64 or hidden == 0 or code_length == 0 or class_count == 0:
         raise FormatError(f"{path}: implausible checkpoint sizes")
     if any(d == 0 for d in dims) or max(dims) * hidden > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: implausible dims {dims}")
+        raise FormatError(f"{path}: implausible dims {dims}")
     centers = reader.take((class_count, code_length), np.int8)
     if not np.isin(centers, (-1, 1)).all():
         raise FormatError(f"{path}: center entries outside {{-1,+1}}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelError, ParameterError, ShapeError
+from .errors import ParameterError
 from .pacer import SampleWeights
 
 # floor applied inside gradient factors only: g'(u) carries u^(r-1), which
@@ -80,8 +80,8 @@ class BatchCodes:
         self.labels = np.asarray(self.labels)
         rows, b = len(self.stacked), len(self.labels)
         if self.stacked.ndim != 2 or self.labels.ndim != 2 or not b or not rows or rows % b:
-            raise ShapeError(f"codes {self.stacked.shape} are not a positive multiple "
-                             f"of the rows of labels {self.labels.shape}")
+            raise ParameterError(f"codes {self.stacked.shape} are not a positive multiple "
+                                 f"of the rows of labels {self.labels.shape}")
         self.codes = [self.stacked[start : start + b] for start in range(0, rows, b)]
 
     @property
@@ -190,7 +190,7 @@ def center_probs(codes: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarr
     codes = np.atleast_2d(np.asarray(codes, dtype=np.float64))
     centers = np.asarray(centers, dtype=np.float64)
     if codes.shape[1] != centers.shape[1]:
-        raise ShapeError(f"code length {codes.shape[1]} != center length {centers.shape[1]}")
+        raise ParameterError(f"code length {codes.shape[1]} != center length {centers.shape[1]}")
     return _row_softmax(codes @ centers.T / tau)
 
 
@@ -198,7 +198,7 @@ def _aggregation_matrix(batch: BatchCodes, centers: np.ndarray, cfg: LossConfig)
     """Per-modality center softmaxes and the (B, M) matrix of v values."""
     labels = np.asarray(batch.labels, dtype=np.float64)
     if (labels.sum(axis=1) == 0).any():
-        raise LabelError("a label row has no class set")
+        raise ParameterError("a label row has no class set")
     probs = [center_probs(c, centers, cfg.tau) for c in batch.codes]
     v = np.column_stack([np.clip((p * labels).sum(axis=1), 0.0, 1.0) for p in probs])
     return probs, labels, v
@@ -252,7 +252,7 @@ def nsh_loss(
     """
     w = np.asarray(weights.values, dtype=np.float64)
     if w.shape != (batch.batch_size,):
-        raise ShapeError(f"{w.shape[0]} weights for batch of {batch.batch_size}")
+        raise ParameterError(f"{w.shape[0]} weights for batch of {batch.batch_size}")
     if w.size and (w.min() < 0 or w.max() > 1):
         raise ParameterError("sample weights must lie in [0, 1]")
     value, grads = _weighted_center_loss(batch, centers, cfg, w, out)

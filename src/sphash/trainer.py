@@ -285,7 +285,7 @@ def step(
     step allocates only small vectors.
     """
     mods = params.modalities
-    batch = BatchCodes(views.codes, y_batch)  # ShapeError for an empty batch
+    batch = BatchCodes(views.codes, y_batch)  # ParameterError for an empty batch
     for mod, x, hidden, out in zip(mods, views.inputs, views.hidden, batch.codes):
         forward(mod, x, (hidden, out))
     center, contrastive, code_grads = losses.total_loss(
@@ -373,6 +373,11 @@ def train(
     val_ds: MultiModalDataset,
     config: TrainConfig,
 ) -> TrainReport:
+    train_ds.validate()
+    val_ds.validate()
+    if (val_ds.dims, val_ds.class_count) != (train_ds.dims, train_ds.class_count):
+        raise ParameterError(f"validation split has dims {val_ds.dims} and {val_ds.class_count} "
+                             f"classes, training split {train_ds.dims} and {train_ds.class_count}")
     config = resolve_config(config, train_ds.m)
 
     params = init_params(train_ds.dims, config.hidden_dim, config.code_length, config.seed)

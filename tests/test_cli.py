@@ -18,7 +18,7 @@ import sphash.fileio as fileio
 from sphash.cli import _list_of, build_parser, main
 from sphash.data import SynthSpec, generate_synthetic, split
 from sphash.encoder import init_params
-from sphash.errors import ShapeError, TrainingDivergedError
+from sphash.errors import ParameterError, TrainingDivergedError
 from sphash.evaluator import RetrievalTask, mean_average_precision, pr_curve
 from sphash.fileio import load_checkpoint, read_dataset, write_csv
 from sphash.kernels import QUERY_CHUNK
@@ -416,10 +416,10 @@ class TestScoringProcesses:
 
     def test_child_error_is_raised_in_the_parent(self, scoring_splits, monkeypatch):
         def fail():
-            raise ShapeError("T2I codes do not line up")
+            raise ParameterError("T2I codes do not line up")
 
         monkeypatch.setattr(cli_module, "_score_direction", in_child_only(fail))
-        with pytest.raises(ShapeError, match="T2I codes do not line up"):
+        with pytest.raises(ParameterError, match="T2I codes do not line up"):
             cli_module._test_split_scores(*scoring_splits)
 
     def test_child_error_that_cannot_pickle_arrives_as_its_text(self, scoring_splits,

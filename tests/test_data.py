@@ -9,7 +9,7 @@ from sphash.data import (
     one_hot,
     split,
 )
-from sphash.errors import LabelError, ParameterError
+from sphash.errors import ParameterError
 
 
 def small_spec(**overrides):
@@ -107,7 +107,7 @@ class TestInjectSymmetricNoise:
 
     def test_multi_hot_rejected(self):
         labels = np.ones((4, 3), dtype=np.uint8)
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match="single-label"):
             inject_symmetric_noise(labels, 0.5, seed=0)
 
     def test_deterministic(self):
@@ -198,7 +198,7 @@ class TestDatasetValidate:
     def test_mask_consistency_enforced(self):
         ds = generate_synthetic(small_spec())
         ds.noise_mask[0] = True  # claims a flip that never happened
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match="noise_mask inconsistent"):
             ds.validate()
 
     def test_take_composes_source_rows(self):

@@ -19,7 +19,7 @@ from sphash.encoder import (
     init_centers,
     init_params,
 )
-from sphash.errors import CapacityError, ParameterError, ShapeError
+from sphash.errors import ParameterError
 
 
 def zero_params(d=3, hidden=4, code=2):
@@ -47,7 +47,7 @@ class TestEncode:
         assert first.tobytes() == encode(params, x, activations(params, x)).tobytes()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="input dim 4 != encoder dim 3"):
             encode(zero_params(d=3), np.ones((2, 4)), activations(zero_params(), np.ones((2, 4))))
 
     def test_single_row_matches_batch(self):
@@ -87,7 +87,7 @@ class TestInitCenters:
         assert len({row.tobytes() for row in a}) == 4
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ParameterError, match="3 distinct centers"):
             init_centers(3, 1, seed=0)
 
     def test_tight_capacity_fills_space(self):
@@ -133,7 +133,7 @@ class TestFlatLayout:
         assert not encode(params.modalities[0], x, activations(params.modalities[0], x)).any()
 
     def test_rejects_wrong_flat_length(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="flat weights have shape"):
             HashEncoderParams(np.zeros(flat_size((4,), 5, 2) + 1), (4,), 5, 2)
 
 
@@ -191,9 +191,9 @@ class TestBackward:
         mod = init_params((3,), 4, 2, seed=0).modalities[0]
         x = np.ones((5, 3))
         hidden, codes = forward(mod, x, activations(mod, x))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="hidden, codes and grad shapes"):
             backward(mod, x, hidden, codes, np.zeros((5, 3)), *gradients(mod, 5))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="hidden, codes and grad shapes"):
             backward(mod, x, hidden[:, :3], codes, np.zeros((5, 2)), *gradients(mod, 5))
 
 

@@ -8,18 +8,23 @@ an older run's artifacts (another seed). The failure points are:
   chunk reached the temp file;
 - each ``os.replace`` inside it, raising ``OSError(EXDEV)`` once the temp file
   is complete;
-- each ``os.fork`` of a scoring child, raising ``OSError(EAGAIN)``.
+- each ``os.fork`` of a scoring child, raising ``OSError(EAGAIN)``;
+- each scoring child, killed by ``SIGKILL`` before it sends its result;
+- each parent's read of a scoring child's pipe, raising ``OSError(EIO)``.
 
 After each rerun the exit code is the documented one (1 when the failure is in
 a sweep cell, else 3), no ``*.tmp`` is left, and every artifact holds either
 the older run's bytes or a complete new run's bytes; a failed sweep cell reads
 ``error`` in ``aggregate.csv`` and every other cell reads the new run's scores.
+No scoring child outlives its command (the conftest fixture checks this).
 """
 
 import errno
+import io
 import itertools
 import os
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -197,13 +202,60 @@ def test_failing_fork_makes_eval_exit_3_with_the_old_scores(inputs, tmp_path, mo
     assert file_bytes(tmp_path / "fail") == old_bytes  # map.csv and pr_*.csv among them
 
 
-def test_failing_fork_makes_only_its_sweep_cell_an_error(inputs, tmp_path, monkeypatch):
-    old, new_argv, old_bytes, new_bytes, forks = first_runs(
-        inputs, tmp_path, "sweep", monkeypatch, forks_failing_at)
-    variants = ["full", "no_chl"]  # one fork per cell, in grid order
-    assert len(forks) == len(variants)
-    for k, variant in enumerate(variants):
+def scoring_children_killed_at(monkeypatch, k: int, forked: list) -> None:
+    def fork():
+        forked.append(len(forked))
+        pid = REAL_FORK()
+        if not pid and len(forked) == k + 1:
+            os.kill(os.getpid(), signal.SIGKILL)  # dies before it scores or sends anything
+        return pid
+
+    monkeypatch.setattr(cli_module.os, "fork", fork)
+
+
+class UnreadablePipe(io.BufferedReader):
+    def read(self, size=-1):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def pipe_reads_failing_at(monkeypatch, k: int, opened: list) -> None:
+    """cli's ``open``, recording each pipe read end it opens; reading pipe number k fails."""
+
+    def opener(file, mode="r", *args, **kwargs):
+        if isinstance(file, int) and mode == "rb":
+            opened.append(file)
+            if len(opened) == k + 1:
+                return UnreadablePipe(io.FileIO(file, "rb"))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "open", opener, raising=False)
+
+
+def check_each_failing_scoring_child(inputs, tmp_path, monkeypatch, command, fail_at):
+    old, new_argv, old_bytes, new_bytes, calls = first_runs(
+        inputs, tmp_path, command, monkeypatch, fail_at)
+    cells = [None] if command == "eval" else ["full", "no_chl"]  # one child per cell, in order
+    assert len(calls) == len(cells)
+    for k, variant in enumerate(cells):
         out = tmp_path / f"fail{k}"
-        code, _ = rerun_failing(old, new_argv, out, monkeypatch, forks_failing_at, k)
-        assert code == 1
-        assert_old_or_new(out, code, variant, old_bytes, new_bytes, variant)
+        code, _ = rerun_failing(old, new_argv, out, monkeypatch, fail_at, k)
+        assert code == (3 if variant is None else 1)
+        assert_old_or_new(out, code, variant, old_bytes, new_bytes, (command, variant))
+
+
+def test_failing_fork_makes_only_its_sweep_cell_an_error(inputs, tmp_path, monkeypatch):
+    check_each_failing_scoring_child(inputs, tmp_path, monkeypatch, "sweep", forks_failing_at)
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_each_killed_scoring_child_leaves_old_or_new_artifacts(inputs, tmp_path, monkeypatch,
+                                                               command):
+    check_each_failing_scoring_child(inputs, tmp_path, monkeypatch, command,
+                                     scoring_children_killed_at)
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_each_failing_pipe_read_leaves_old_or_new_artifacts(inputs, tmp_path, monkeypatch,
+                                                            command):
+    check_each_failing_scoring_child(inputs, tmp_path, monkeypatch, command,
+                                     pipe_reads_failing_at)

@@ -13,7 +13,7 @@ from oracles import (
 )
 from sphash.data import one_hot
 from sphash.encoder import init_centers
-from sphash.errors import LabelError, ParameterError, ShapeError
+from sphash.errors import ParameterError
 from sphash.losses import (
     BatchCodes,
     LossConfig,
@@ -74,7 +74,7 @@ class TestBatchCodes:
         (5, np.eye(2)), (0, np.eye(2)), (0, np.zeros((0, 2))), (2, np.ones(2)),
     ])
     def test_rows_not_a_positive_multiple_of_the_label_rows(self, rows, labels):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="not a positive multiple"):
             BatchCodes(np.zeros((rows, 3)), labels)
 
 
@@ -247,7 +247,7 @@ class TestAggregationProb:
     def test_empty_label_row_rejected(self):
         centers = init_centers(3, 4, seed=6)
         batch = BatchCodes(np.zeros((1, 4)), np.zeros((1, 3)))
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match="label row has no class"):
             per_instance_loss(batch, centers, LossConfig())
 
 
@@ -370,7 +370,7 @@ class TestNshLoss:
         good.values[0] = 1.5  # mutate after construction
         with pytest.raises(ParameterError):
             nsh_loss(batch, centers, good, LossConfig(), loss_buffers(batch).grads)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="5 weights for batch of 3"):
             nsh_loss(batch, centers, SampleWeights(np.ones(5), 1.0), LossConfig(),
                      loss_buffers(batch).grads)
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import pickle
 
@@ -330,6 +331,49 @@ class TestValidation:
         tr, va = random_dataset(rng, 20_000), random_dataset(rng, 200)
         cfg = TrainConfig(code_length=8, hidden_dim=16, warmup_epochs=0, max_epochs=1, seed=9)
         assert traced_peak(lambda: train(tr, va, cfg)) < 20_000 * (64 + 48) * 8
+
+
+def with_third_modality(ds):
+    return dataclasses.replace(ds, modalities=[*ds.modalities, ds.modalities[0].copy()])
+
+
+def with_wider_first_modality(ds):
+    first = np.random.default_rng(0).normal(size=(ds.n, 7)).astype(np.float32)
+    return dataclasses.replace(ds, modalities=[first, *ds.modalities[1:]])
+
+
+def with_nan_feature(ds):
+    first = ds.modalities[0].copy()
+    first[1, 2] = np.nan
+    return dataclasses.replace(ds, modalities=[first, *ds.modalities[1:]])
+
+
+def with_extra_class(ds):
+    pad = ((0, 0), (0, 1))
+    return dataclasses.replace(ds, labels=np.pad(ds.labels, pad),
+                               true_labels=np.pad(ds.true_labels, pad),
+                               class_count=ds.class_count + 1)
+
+
+class TestSplitChecks:
+    """train rejects the splits read_dataset rejects, before it allocates or steps."""
+
+    @pytest.mark.parametrize("make_train, make_val, message", [
+        (with_third_modality, with_third_modality, "exactly 2 modalities, got 3"),
+        (lambda ds: ds, with_third_modality, "exactly 2 modalities, got 3"),
+        (lambda ds: ds, with_wider_first_modality, r"validation split has dims \(7, 5\)"),
+        (with_nan_feature, lambda ds: ds, "modality 0 contains non-finite values"),
+        (lambda ds: ds, with_extra_class, "and 4 classes, training split"),
+    ])
+    def test_rejected_before_the_first_step(self, monkeypatch, make_train, make_val, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train reached its first allocation or step")
+
+        monkeypatch.setattr(trainer_module, "init_params", refuse)
+        monkeypatch.setattr(trainer_module, "step", refuse)
+        tr, va, _ = tiny_splits()
+        with pytest.raises(ParameterError, match=message):
+            train(make_train(tr), make_val(va), tiny_config())
 
 
 class TestTrainLoop:
