@@ -1,8 +1,8 @@
 """Multi-modal datasets: synthetic generation, label-noise injection, splits.
 
 A dataset holds two aligned feature matrices (one per modality), the observed
-one-hot labels, the ground-truth labels, and a boolean mask marking rows whose
-observed label was corrupted. Everything is deterministic given the seed.
+one-hot labels and the ground-truth labels; the noise mask and the class count
+derive from the labels. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ class MultiModalDataset:
     modalities: list[np.ndarray]      # float32, each (N, d_m)
     labels: np.ndarray                # uint8 (N, K), possibly noisy
     true_labels: np.ndarray           # uint8 (N, K)
-    noise_mask: np.ndarray            # bool (N,), True where labels row was corrupted
-    class_count: int
     seed: int
     # row indices into the dataset this one was sliced from; None for a root dataset
     source_rows: np.ndarray | None = field(default=None)
@@ -69,6 +67,14 @@ class MultiModalDataset:
     def dims(self) -> tuple[int, ...]:
         return tuple(x.shape[1] for x in self.modalities)
 
+    @property
+    def class_count(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def noise_mask(self) -> np.ndarray:  # bool (N,), True where a labels row was corrupted
+        return (self.labels != self.true_labels).any(axis=1)
+
     def validate(self) -> None:
         if self.m != 2:
             raise ParameterError(f"a dataset needs exactly 2 modalities, got {self.m}")
@@ -78,6 +84,8 @@ class MultiModalDataset:
                 raise ParameterError(f"modality {i} has shape {x.shape}, expected ({n}, d)")
             if not np.all(np.isfinite(x)):
                 raise ParameterError(f"modality {i} contains non-finite values")
+        if self.labels.ndim != 2:
+            raise ParameterError(f"labels shape {self.labels.shape} is not 2-d")
         for name, lab in (("labels", self.labels), ("true_labels", self.true_labels)):
             if lab.shape != (n, self.class_count):
                 raise ParameterError(f"{name} shape {lab.shape} != ({n}, {self.class_count})")
@@ -85,20 +93,15 @@ class MultiModalDataset:
                 raise ParameterError(f"{name} entries must be 0 or 1")
             if (lab.sum(axis=1) == 0).any():
                 raise ParameterError(f"{name} has a row without any class")
-        differs = (self.labels != self.true_labels).any(axis=1)
-        if not np.array_equal(differs, self.noise_mask.astype(bool)):
-            raise ParameterError("noise_mask inconsistent with labels vs true_labels")
 
     def take(self, rows: np.ndarray) -> "MultiModalDataset":
-        """Row-subset carrying labels, mask, and provenance indices along."""
+        """Row-subset carrying labels and provenance indices along."""
         rows = np.asarray(rows)
         source = rows if self.source_rows is None else self.source_rows[rows]
         return MultiModalDataset(
             modalities=[x[rows] for x in self.modalities],
             labels=self.labels[rows],
             true_labels=self.true_labels[rows],
-            noise_mask=self.noise_mask[rows],
-            class_count=self.class_count,
             seed=self.seed,
             source_rows=source,
         )
@@ -153,8 +156,6 @@ def generate_synthetic(spec: SynthSpec) -> MultiModalDataset:
         modalities=modalities,
         labels=labels,
         true_labels=labels.copy(),
-        noise_mask=np.zeros(spec.n, dtype=bool),
-        class_count=spec.k,
         seed=spec.seed,
     )
 
@@ -198,12 +199,9 @@ def inject_noise_subset(
 ) -> MultiModalDataset:
     """New dataset with symmetric noise applied only to the given rows."""
     rows = np.asarray(rows)
-    noisy_rows, mask_rows = inject_symmetric_noise(dataset.labels[rows], rate, seed)
     labels = dataset.labels.copy()
-    labels[rows] = noisy_rows
-    mask = dataset.noise_mask.copy()
-    mask[rows] = mask_rows
-    return replace(dataset, labels=labels, noise_mask=mask)
+    labels[rows], _ = inject_symmetric_noise(dataset.labels[rows], rate, seed)
+    return replace(dataset, labels=labels)
 
 
 def _round_half_up(x: float) -> int:

@@ -4,9 +4,9 @@ Feature file ("FMAT"): 24-byte header — 4-byte magic, u16 version, u16
 reserved zero, u64 row count, u64 column count, all little-endian — followed
 by rows*cols float32 values in row-major order. Label file ("LMAT") shares
 the header layout with its own magic and a payload of one byte per entry in
-{0,1}. A dataset is a directory of these files (the noise mask an N x 1 label
-file) tied together by a JSON manifest that must hold every key, the split
-(train_frac, val_frac, seed) included; a model checkpoint is a single binary
+{0,1}. A dataset is the ``dataset_files`` (the noise mask an N x 1 label file)
+in one directory; its JSON manifest names exactly those files and holds every
+other key, the split record included. A model checkpoint is a single binary
 with its own magic. One bounded reader (``_Reader``) parses every binary file.
 
 Text artifacts follow one rule each. CSV (``write_csv``): a header line of
@@ -231,6 +231,12 @@ def dataset_files(m: int) -> list[str]:
             "noise_mask.lmat", MANIFEST_NAME]
 
 
+def _file_entries(m: int) -> dict:
+    """The manifest's file-name entries: the dataset_files for m modalities."""
+    *features, labels, true_labels, mask, _ = dataset_files(m)
+    return {"modalities": features, "labels": labels, "true_labels": true_labels, "mask": mask}
+
+
 def write_dataset(dataset: MultiModalDataset, out_dir, split: tuple[float, float, int]) -> Path:
     """Write the dataset_files: modality/label/mask files, then the manifest; returns its path.
 
@@ -238,22 +244,19 @@ def write_dataset(dataset: MultiModalDataset, out_dir, split: tuple[float, float
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    *features, labels, true_labels, mask, manifest_name = dataset_files(dataset.m)
+    files = _file_entries(dataset.m)
     manifest = {
-        "modalities": features,
-        "labels": labels,
-        "true_labels": true_labels,
-        "mask": mask,
+        **files,
         "class_count": dataset.class_count,
         "seed": dataset.seed,
         "split": dict(zip(_SPLIT_TYPES, split)),
     }
-    for x, name in zip(dataset.modalities, features):
+    for x, name in zip(dataset.modalities, files["modalities"]):
         save_features(x, out_dir / name)
-    save_labels(dataset.labels, out_dir / labels)
-    save_labels(dataset.true_labels, out_dir / true_labels)
-    save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / mask)
-    path = out_dir / manifest_name
+    save_labels(dataset.labels, out_dir / files["labels"])
+    save_labels(dataset.true_labels, out_dir / files["true_labels"])
+    save_labels(dataset.noise_mask.astype(np.uint8)[:, None], out_dir / files["mask"])
+    path = out_dir / MANIFEST_NAME
     write_json(path, manifest)
     return path
 
@@ -261,8 +264,9 @@ def write_dataset(dataset: MultiModalDataset, out_dir, split: tuple[float, float
 def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, int]]:
     """Load a dataset directory; returns (dataset, (train_frac, val_frac, seed)).
 
-    FormatError for a manifest or split record without one of its keys, a
-    noise mask that is not N x 1, and a split that leaves a part empty.
+    FormatError for a manifest that names other files than dataset_files(2) or
+    lacks a key, a class_count or noise mask that disagrees with the labels, and
+    a split that leaves a part empty.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -272,16 +276,11 @@ def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, 
     except ValueError as exc:
         raise FormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
     _check_manifest(manifest, manifest_path)
-    base = manifest_path.parent
-    mask = load_labels(base / manifest["mask"])
-    if mask.shape[1] != 1:
-        raise FormatError(f"{base / manifest['mask']}: noise mask has {mask.shape[1]} columns")
+    base, files = manifest_path.parent, _file_entries(2)
     dataset = MultiModalDataset(
-        modalities=[load_features(base / rel) for rel in manifest["modalities"]],
-        labels=load_labels(base / manifest["labels"]),
-        true_labels=load_labels(base / manifest["true_labels"]),
-        noise_mask=mask[:, 0].astype(bool),
-        class_count=manifest["class_count"],
+        modalities=[load_features(base / name) for name in files["modalities"]],
+        labels=load_labels(base / files["labels"]),
+        true_labels=load_labels(base / files["true_labels"]),
         seed=manifest["seed"],
     )
     record = manifest["split"]
@@ -291,21 +290,26 @@ def read_dataset(manifest_path) -> tuple[MultiModalDataset, tuple[float, float, 
         split_sizes(dataset.n, train_frac, val_frac)
     except ParameterError as exc:
         raise FormatError(f"{manifest_path}: inconsistent dataset: {exc}") from exc
+    if manifest["class_count"] != dataset.class_count:
+        raise FormatError(f"{manifest_path}: class_count is not the label column count")
+    mask = load_labels(base / files["mask"])
+    if not np.array_equal(mask, dataset.noise_mask[:, None]):
+        raise FormatError(f"{base / files['mask']}: not the labels' N x 1 noise mask")
     return dataset, (train_frac, val_frac, record["seed"])
 
 
-_MANIFEST_TYPES = {
-    "modalities": list, "labels": str, "true_labels": str, "mask": str,
-    "class_count": int, "seed": int, "split": dict,
-}
+_MANIFEST_TYPES = {"class_count": int, "seed": int, "split": dict}
 # the split record's keys, in the order of read_dataset's (train_frac, val_frac, seed)
 _SPLIT_TYPES = {"train_frac": (int, float), "val_frac": (int, float), "seed": int}
 
 
 def _check_manifest(manifest, path) -> None:
-    """Raise FormatError unless each manifest and split key is present with its JSON type."""
+    """Raise FormatError unless the names are dataset_files(2) and each other key is typed."""
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
+    for key, name in _file_entries(2).items():
+        if manifest.get(key) != name:
+            raise FormatError(f"{path}: manifest key {key!r} must be {name!r}")
     for name, types in (("manifest", _MANIFEST_TYPES), ("split", _SPLIT_TYPES)):
         record = manifest if name == "manifest" else manifest["split"]  # a dict by now
         for key, kind in types.items():
@@ -314,9 +318,6 @@ def _check_manifest(manifest, path) -> None:
             if isinstance(record[key], bool) or not isinstance(record[key], kind):
                 raise FormatError(f"{path}: {name} key {key!r} has type "
                                   f"{type(record[key]).__name__}")
-    names = [*manifest["modalities"], manifest["labels"], manifest["true_labels"], manifest["mask"]]
-    if not all(isinstance(name, str) and "\0" not in name for name in names):
-        raise FormatError(f"{path}: every file name must be a string without NUL")
 
 
 def save_checkpoint(params: HashEncoderParams, centers: np.ndarray, path) -> None:

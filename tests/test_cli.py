@@ -17,7 +17,7 @@ import sphash.cli as cli_module
 import sphash.fileio as fileio
 from sphash.cli import _list_of, build_parser, main
 from sphash.data import SynthSpec, generate_synthetic, split
-from sphash.encoder import init_params
+from sphash.encoder import init_centers, init_params
 from sphash.errors import ParameterError, TrainingDivergedError
 from sphash.evaluator import RetrievalTask, mean_average_precision, pr_curve
 from sphash.fileio import load_checkpoint, read_dataset, write_csv
@@ -257,6 +257,42 @@ class TestEval:
              "--data", str(dataset_dir), "--out", str(tmp_path / "out")]
         )
         assert code == 3
+
+    # the header's hidden size (bytes 16-24) and the first modality dim (bytes 40-48)
+    @pytest.mark.parametrize("offset, message", [(16, "implausible checkpoint sizes"),
+                                                 (40, "implausible dims [0, 8]")],
+                             ids=["zero-hidden", "zero-dim"])
+    def test_checkpoint_with_a_zero_size_exit_3(self, dataset_dir, train_dir, tmp_path, capsys,
+                                                offset, message):
+        raw = bytearray((train_dir / "checkpoint.bin").read_bytes())
+        raw[offset:offset + 8] = bytes(8)
+        checkpoint = tmp_path / "checkpoint.bin"
+        checkpoint.write_bytes(bytes(raw))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_checkpoint_with_another_class_count_exit_5(self, dataset_dir, tmp_path, capsys):
+        dataset, _ = read_dataset(dataset_dir)  # 4 classes
+        checkpoint = tmp_path / "checkpoint.bin"
+        fileio.save_checkpoint(init_params(dataset.dims, 12, 8, seed=0),
+                               init_centers(3, 8, seed=0), checkpoint)
+        out = tmp_path / "out"
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 5
+        assert "checkpoint has 3 centers, dataset has 4 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pr_points_sets_the_curve_length(self, dataset_dir, train_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--pr-points", "5", "--out", str(out)]) == 0
+        for name in ("pr_i2t.csv", "pr_t2i.csv"):
+            header, *rows = (out / name).read_text().splitlines()
+            assert header == "recall,precision"
+            assert len(rows) == 5
 
 
 SWEEP_ARGS = [
@@ -619,6 +655,10 @@ BAD_MANIFESTS = {
     "split leaves no test rows":
         lambda m: json.dumps({**m, "split": {**m["split"], "train_frac": 0.95}}),
     "files disagree": lambda m: json.dumps({**m, "labels": m["true_labels"]}),
+    # training would fit the clean labels and score detection against the noisy ones
+    "swapped label names": lambda m: json.dumps(
+        {**m, "labels": m["true_labels"], "true_labels": m["labels"]}),
+    "class count off by one": lambda m: json.dumps({**m, "class_count": m["class_count"] + 1}),
 }
 
 
@@ -687,6 +727,57 @@ class TestInputErrors:
         assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
         out = tmp_path / "eval"
         assert eval_with_weights(train_dir, data, train_dir / "weights.csv", out) == 3
+        assert not out.exists()
+
+    def test_mask_outside_the_directory_exit_3(self, dataset_dir, tmp_path):
+        data, outside = tmp_path / "data", tmp_path / "mask.lmat"
+        shutil.copytree(dataset_dir, data)
+        shutil.copy(data / "noise_mask.lmat", outside)  # the right mask, under another path
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "mask": str(outside)}))
+        assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+
+    def test_noise_mask_with_a_flipped_bit_exit_3(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        mask = fileio.load_labels(data / "noise_mask.lmat")
+        mask[0] ^= 1
+        fileio.save_labels(mask, data / "noise_mask.lmat")
+        assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+        assert "noise mask" in capsys.readouterr().err
+
+    # FMAT/LMAT header: magic (bytes 0-4), version (4-6), reserved (6-8), rows (8-16)
+    @pytest.mark.parametrize("name, offset, value, message", [
+        ("modality_0.fmat", 6, b"\x01\x00", "reserved header bytes are not zero"),
+        ("modality_1.fmat", 8, bytes(8), "empty matrix (0x8)"),
+        ("labels.lmat", 8, bytes(8), "empty matrix (0x4)"),
+    ], ids=["fmat-reserved", "fmat-zero-rows", "lmat-zero-rows"])
+    def test_corrupt_matrix_header_exit_3(self, dataset_dir, tmp_path, capsys, name, offset,
+                                          value, message):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        raw = bytearray((data / name).read_bytes())
+        raw[offset:offset + len(value)] = value
+        (data / name).write_bytes(bytes(raw))
+        assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--n", "20", "--k", "1", "--dims", "10,8"], "k=1 must be >= 2"),
+        (["gen-data", "--n", "10", "--k", "2", "--dims", "10,8", "--train-frac", "0.01",
+          "--val-frac", "0.1"], "degenerate split sizes (0/1/9)"),
+        (["--bits", "0"], "code_length and hidden_dim must be positive"),
+        (["--hidden", "0"], "code_length and hidden_dim must be positive"),
+        (["--eval-every", "0"], "eval_every must be >= 1"),
+        (["--gamma-ramp", "0.5:0.6:0"], "ramp_epochs must be >= 1"),
+    ], ids=["one-class", "empty-train-split", "zero-bits", "zero-hidden", "zero-eval-every",
+            "zero-ramp-epochs"])
+    def test_out_of_range_value_exit_2(self, dataset_dir, tmp_path, capsys, argv, message):
+        if argv[0] != "gen-data":
+            argv = TRAIN_ARGS + ["--data", str(dataset_dir), *argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

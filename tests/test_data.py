@@ -195,10 +195,10 @@ class TestSplit:
 
 
 class TestDatasetValidate:
-    def test_mask_consistency_enforced(self):
+    def test_labels_that_are_not_2d_rejected(self):
         ds = generate_synthetic(small_spec())
-        ds.noise_mask[0] = True  # claims a flip that never happened
-        with pytest.raises(ParameterError, match="noise_mask inconsistent"):
+        ds.labels = ds.labels.argmax(axis=1)  # class indices, not one-hot rows
+        with pytest.raises(ParameterError, match="is not 2-d"):
             ds.validate()
 
     def test_take_composes_source_rows(self):

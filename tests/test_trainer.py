@@ -67,7 +67,7 @@ def random_dataset(rng, n, dims=(64, 48), k=8):
     """n float32 rows per modality, one class per row, no noise."""
     labels = np.eye(k, dtype=np.uint8)[rng.integers(0, k, n)]
     features = [rng.normal(size=(n, d)).astype(np.float32) for d in dims]
-    return MultiModalDataset(features, labels, labels.copy(), np.zeros(n, dtype=bool), k, 0)
+    return MultiModalDataset(features, labels, labels.copy(), 0)
 
 
 def step_inputs(batch_size=6, seed=0):
@@ -351,8 +351,7 @@ def with_nan_feature(ds):
 def with_extra_class(ds):
     pad = ((0, 0), (0, 1))
     return dataclasses.replace(ds, labels=np.pad(ds.labels, pad),
-                               true_labels=np.pad(ds.true_labels, pad),
-                               class_count=ds.class_count + 1)
+                               true_labels=np.pad(ds.true_labels, pad))
 
 
 class TestSplitChecks:
