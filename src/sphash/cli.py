@@ -123,9 +123,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=config.max_epochs,
                    help="total training epochs (default %(default)s)")
     p.add_argument("--lr", type=float, default=config.learning_rate,
-                   help="learning rate (default %(default)s)")
-    p.add_argument("--optimizer", choices=trainer.OPTIMIZERS, default=config.optimizer,
-                   help="parameter update rule (default %(default)s)")
+                   help="Adam step size (default %(default)s)")
     p.add_argument("--tau", type=float, default=LossConfig.tau,
                    help="softmax temperature (default %(default)s)")
     p.add_argument("--r", type=float, default=LossConfig.r,
@@ -143,8 +141,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help="linear pace ramp over the self-paced phase, overrides --gamma",
     )
     p.add_argument("--seed", type=int, default=config.seed, help="run seed (default %(default)s)")
-    p.add_argument("--eval-every", type=int, default=config.eval_every,
-                   help="validation cadence in epochs (default %(default)s)")
     p.add_argument(
         "--clean-val", action="store_true",
         help="use ground-truth labels for validation relevance (diagnostic)",
@@ -167,12 +163,10 @@ def _train_config(args, bits: int, variant: str) -> trainer.TrainConfig:
         warmup_epochs=args.warmup,
         max_epochs=args.epochs,
         learning_rate=args.lr,
-        optimizer=args.optimizer,
         loss=LossConfig(tau=args.tau, r=args.r, alpha=args.alpha),
         pace=_build_pace(args),
         seed=args.seed,
         variant=variant,
-        eval_every=args.eval_every,
         clean_val=args.clean_val,
     )
 
@@ -216,8 +210,7 @@ def _run_training(train_ds, val_ds, config: trainer.TrainConfig, out: Path):
     report = trainer.train(train_ds, val_ds, config)
     save_checkpoint(report.best_params, report.centers, out / "checkpoint.bin")
     trainer.write_report_csv(report, out / "report.csv")
-    curve = [(rec.epoch, rec.val_map_i2t, rec.val_map_t2i)
-             for rec in report.records if rec.val_map_i2t is not None]
+    curve = [(rec.epoch, rec.val_map_i2t, rec.val_map_t2i) for rec in report.records]
     write_csv(out / "map_curve.csv", ("epoch", "map_i2t", "map_t2i"), curve)
     trainer.write_weight_log_csv(report, train_ds, out / "weights.csv")
     return report
@@ -576,7 +569,10 @@ def main(argv=None) -> int:
     except CompatibilityError as exc:
         print(f"incompatible inputs: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:  # FormatError is one too
+    except FormatError as exc:  # an OSError too, caught first for its own label
+        print(f"format error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

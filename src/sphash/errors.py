@@ -23,13 +23,4 @@ class CompatibilityError(SphashError, ValueError):
 
 
 class TrainingDivergedError(SphashError, ArithmeticError):
-    """A loss became non-finite during training."""
-
-    def __init__(self, message: str, epoch: int, batch: int):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-
-    def __reduce__(self):
-        # the default rebuilds from self.args, which hold the message alone
-        return type(self), (self.args[0], self.epoch, self.batch)
+    """A loss became non-finite during training; the message says at which epoch and batch."""

@@ -6,15 +6,16 @@ per-instance weights over the full training split with parameters frozen
 (one forward pass), then runs mini-batch updates on the weighted objective
 with those weights constant. Whether an epoch has weights is the only record
 of its phase; ``EpochRecord.phase`` names it for the report.
-Model selection keeps the weights from the epoch with the best validation
-MAP (mean of both retrieval directions); ``train`` writes no file. Two runs
-with the same config and seed produce identical reports: batch order,
-reduction order, and every sub-seed derive from the run seed.
+Every epoch ends with a validation, and model selection keeps the weights
+from the epoch with the best validation MAP (mean of both retrieval
+directions); ``train`` writes no file. Two runs with the same config and
+seed produce identical reports: batch order, reduction order, and every
+sub-seed derive from the run seed.
 
 A mini-batch step runs every encoder forward once, takes the objective's
 parts and code gradients from ``losses.total_loss``, runs
-backward through the stored activations, and applies one elementwise SGD or
-adaptive-moments update to the flat weight vector (layout in ``encoder``).
+backward through the stored activations, and applies one elementwise Adam
+update to the flat weight vector (layout in ``encoder``).
 Every step, weight refresh and validation of a run writes into one workspace
 allocated before the first epoch, so the thousands of steps of a run allocate
 no array that scales with the batch, the chunk or the weights. Features stay
@@ -63,7 +64,6 @@ from .pacer import PaceSchedule, SampleWeights
 from .seeding import spawn_rng
 
 VARIANTS = ("full", "no_warmup", "no_chl", "no_spl", "binarize_weights", "gamma_override")
-OPTIMIZERS = ("sgd", "adaptive_moments")
 WARMUP = "warmup"
 SELFPACED = "selfpaced"
 
@@ -84,12 +84,10 @@ class TrainConfig:
     warmup_epochs: int = 5
     max_epochs: int = 200
     learning_rate: float = 1e-3
-    optimizer: str = "adaptive_moments"
     loss: LossConfig = field(default_factory=LossConfig)
     pace: PaceSchedule | None = None  # None resolves per variant in resolve_config
     seed: int = 0
     variant: str = "full"
-    eval_every: int = 1
     clean_val: bool = False  # validate against true labels instead of observed ones
 
     def __post_init__(self):
@@ -103,12 +101,8 @@ class TrainConfig:
             )
         if not 0 <= self.learning_rate < math.inf:  # written so that NaN fails too
             raise ParameterError("learning_rate must be non-negative and finite")
-        if self.optimizer not in OPTIMIZERS:
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.eval_every < 1:
-            raise ParameterError("eval_every must be >= 1")
 
 
 def resolve_config(config: TrainConfig, n_modalities: int) -> TrainConfig:
@@ -145,8 +139,8 @@ class EpochRecord:
     loss_center: float              # plain criterion in warm-up, weighted + penalty after
     gamma: float | None
     zero_weight_count: int | None
-    val_map_i2t: float | None
-    val_map_t2i: float | None
+    val_map_i2t: float
+    val_map_t2i: float
 
 
 @dataclass
@@ -165,14 +159,12 @@ class TrainReport:
 
 
 class _OptimizerState:
-    """SGD, or the adaptive moments m and v laid out like ``params.flat``."""
+    """Adam's step count and moments m and v, laid out like ``params.flat``."""
 
-    def __init__(self, kind: str, params: HashEncoderParams):
-        self.kind = kind
+    def __init__(self, params: HashEncoderParams):
         self.step_count = 0
-        if kind == "adaptive_moments":
-            self.m = np.zeros_like(params.flat)
-            self.v = np.zeros_like(params.flat)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def apply(self, params: HashEncoderParams, grad: np.ndarray, lr: float,
               scratch: np.ndarray) -> None:
@@ -184,9 +176,6 @@ class _OptimizerState:
         temporaries.
         """
         update, denominator = scratch
-        if self.kind == "sgd":
-            params.flat -= np.multiply(lr, grad, out=update)
-            return
         self.step_count += 1
         correction1 = 1.0 - _ADAM_BETA1**self.step_count
         correction2 = 1.0 - _ADAM_BETA2**self.step_count
@@ -293,9 +282,8 @@ def step(
     )
     total = center if contrastive is None else center + config.loss.alpha * contrastive
     if not np.isfinite(total):
-        raise TrainingDivergedError(
-            f"non-finite loss {total} at epoch {epoch}, batch {batch_index}", epoch, batch_index
-        )
+        raise TrainingDivergedError(f"non-finite loss {total} at epoch {epoch}, "
+                                    f"batch {batch_index}")
 
     for mod, x, hidden, out, g, grad in zip(
         mods, views.inputs, views.hidden, batch.codes, code_grads, workspace.grad_blocks
@@ -323,7 +311,7 @@ def _full_train_losses(
             encode(mod, x[start:stop], (hidden, mod_codes))
         out[start:stop] = losses.per_instance_loss(batch, centers, cfg)
     if not np.all(np.isfinite(out)):
-        raise TrainingDivergedError(f"non-finite instance loss at epoch {epoch}", epoch, -1)
+        raise TrainingDivergedError(f"non-finite instance loss at epoch {epoch}")
     return out
 
 
@@ -382,7 +370,7 @@ def train(
 
     params = init_params(train_ds.dims, config.hidden_dim, config.code_length, config.seed)
     centers = init_centers(train_ds.class_count, config.code_length, config.seed)
-    opt_state = _OptimizerState(config.optimizer, params)
+    opt_state = _OptimizerState(params)
 
     labels = train_ds.labels
     n_train = train_ds.n
@@ -425,14 +413,12 @@ def train(
             if parts["contrastive"] is not None:
                 sums["contrastive"] += parts["contrastive"] * len(rows)
 
-        val_i2t = val_t2i = None
-        if epoch % config.eval_every == 0 or epoch == config.max_epochs - 1:
-            val_i2t, val_t2i = _validation_map(params, val_ds, config.clean_val, workspace)
-            mean_map = 0.5 * (val_i2t + val_t2i)
-            if mean_map > best_map:
-                best_map = mean_map
-                best_epoch = epoch
-                best_flat[:] = params.flat
+        val_i2t, val_t2i = _validation_map(params, val_ds, config.clean_val, workspace)
+        mean_map = 0.5 * (val_i2t + val_t2i)
+        if mean_map > best_map:
+            best_map = mean_map
+            best_epoch = epoch
+            best_flat[:] = params.flat
 
         records.append(
             EpochRecord(

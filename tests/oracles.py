@@ -134,25 +134,19 @@ def encode_reference(mod, x):
 
 
 class NestedOptimizer:
-    """SGD / adaptive moments with one moment array per parameter array.
+    """Adam with one moment array per parameter array.
 
     ``params`` and ``grads`` are nested lists, one list of arrays per
     modality; every array is updated in place by its own loop iteration.
     """
 
-    def __init__(self, kind: str, params):
-        self.kind = kind
+    def __init__(self, params):
         self.step_count = 0
         self.m = [[np.zeros_like(a) for a in mod] for mod in params]
         self.v = [[np.zeros_like(a) for a in mod] for mod in params]
 
     def apply(self, params, grads, lr: float) -> None:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        if self.kind == "sgd":
-            for mod, grad in zip(params, grads):
-                for arr, g in zip(mod, grad):
-                    arr -= lr * g
-            return
         self.step_count += 1
         correction1 = 1.0 - beta1**self.step_count
         correction2 = 1.0 - beta2**self.step_count

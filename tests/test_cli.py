@@ -388,7 +388,7 @@ class TestSweep:
 
     def test_diverged_cell_becomes_error_cell(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
-            raise TrainingDivergedError("non-finite loss at epoch 2, batch 0", 2, 0)
+            raise TrainingDivergedError("non-finite loss at epoch 2, batch 0")
 
         monkeypatch.setattr(cli_module.trainer, "train", explode)
         assert main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 1
@@ -557,7 +557,7 @@ class TestConfigFile:
         "command, values",
         [("train", {"epochs": 12.5}), ("train", {"bits": 16.5}), ("train", {"hidden": 8.5}),
          ("train", {"batch_size": 16.5}), ("train", {"clean_val": "no"}), ("train", {"seed": 1.5}),
-         ("train", {"eval_every": 1.5}), ("train", {"gamma_ramp": "1:2:x"}),
+         ("train", {"warmup": 1.5}), ("train", {"gamma_ramp": "1:2:x"}),
          ("gen-data", {"noise_rate": [0.2]})],  # a list for a single-value flag
         ids=lambda param: param if isinstance(param, str) else next(iter(param)),
     )
@@ -768,10 +768,8 @@ class TestInputErrors:
           "--val-frac", "0.1"], "degenerate split sizes (0/1/9)"),
         (["--bits", "0"], "code_length and hidden_dim must be positive"),
         (["--hidden", "0"], "code_length and hidden_dim must be positive"),
-        (["--eval-every", "0"], "eval_every must be >= 1"),
         (["--gamma-ramp", "0.5:0.6:0"], "ramp_epochs must be >= 1"),
-    ], ids=["one-class", "empty-train-split", "zero-bits", "zero-hidden", "zero-eval-every",
-            "zero-ramp-epochs"])
+    ], ids=["one-class", "empty-train-split", "zero-bits", "zero-hidden", "zero-ramp-epochs"])
     def test_out_of_range_value_exit_2(self, dataset_dir, tmp_path, capsys, argv, message):
         if argv[0] != "gen-data":
             argv = TRAIN_ARGS + ["--data", str(dataset_dir), *argv]
@@ -779,6 +777,27 @@ class TestInputErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_removed_training_knobs_exit_2(self, dataset_dir, tmp_path):
+        # Adam is the one update rule and validation runs every epoch: neither is a flag
+        config = tmp_path / "config.json"
+        for key, value in (("optimizer", "sgd"), ("eval_every", 2)):
+            config.write_text(json.dumps({key: value}))
+            for args in (["--" + key.replace("_", "-"), str(value)], ["--config", str(config)]):
+                out = tmp_path / "out"
+                argv = TRAIN_ARGS + ["--data", str(dataset_dir), *args, "--out", str(out)]
+                assert _exit_code(argv) == 2, args
+                assert not out.exists()
+
+    def test_format_and_io_errors_are_labelled_apart(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(BAD_MANIFESTS["swapped label names"](manifest))
+        for data_dir, label in ((data, "format error: "), (tmp_path / "nope", "i/o error: ")):
+            out = tmp_path / "out"
+            assert main(TRAIN_ARGS + ["--data", str(data_dir), "--out", str(out)]) == 3
+            assert capsys.readouterr().err.startswith(label), data_dir
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -1162,7 +1181,7 @@ class TestExitCodes:
         import sphash.cli as cli_module
 
         def explode(*args, **kwargs):
-            raise TrainingDivergedError("non-finite loss at epoch 3, batch 1", 3, 1)
+            raise TrainingDivergedError("non-finite loss at epoch 3, batch 1")
 
         monkeypatch.setattr(cli_module.trainer, "train", explode)
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path)])
@@ -1173,7 +1192,7 @@ class TestExitCodes:
 
         def diverge_from_epoch_2(*args, epoch, **kwargs):
             if epoch >= 2:  # after validations that improved the best MAP
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch, 0)
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             return real(*args, epoch=epoch, **kwargs)
 
         monkeypatch.setattr(cli_module.trainer, "step", diverge_from_epoch_2)
