@@ -22,11 +22,12 @@ eval and each sweep cell score the T2I direction in a forked child process
 
 Exit codes: 0 success, 1 some sweep cell failed (its aggregate entries read
 "error"), 2 usage error, 3 I/O error of any kind (an ``OSError``, which
-includes a file-format error and a scoring process that died), 4 numerical
-divergence during training, 5 a checkpoint or weight dump that does not fit
-the dataset. sweep checks its whole grid before the first cell runs, so an
-empty axis or a bad noise rate, size, split, code length or variant exits 2
-and writes no cell.
+includes a file-format error and a scoring process that died) or out of memory
+(a ``MemoryError``), 4 numerical divergence during training, 5 a checkpoint or
+weight dump that does not fit the dataset. sweep checks its whole grid before
+the first cell runs, so an empty axis or a bad noise rate, size, split, code
+length or variant exits 2 and writes no cell. Every flag, on the command line
+and as a --config key, is spelled in full: a prefix of a flag exits 2.
 """
 
 from __future__ import annotations
@@ -392,7 +393,8 @@ def cmd_sweep(args):
                 cell_dir = out / "cells" / f"n{noise}_b{bits}_{variant}"
                 try:
                     row += _run_cell(args, noise, spec, configs[bits, variant], cell_seed, cell_dir)
-                except (SphashError, OSError) as exc:  # a broken cell must not sink the grid
+                # a broken cell, out of memory too, must not sink the grid
+                except (SphashError, OSError, MemoryError) as exc:
                     print(f"cell n={noise} bits={bits} {variant} failed: {exc}", file=sys.stderr)
                     row += ["error", "error"]
                     failed = True
@@ -426,10 +428,20 @@ def _run_cell(args, noise: float, spec: SynthSpec, config: trainer.TrainConfig, 
     return tuple(score for _, score, _ in _test_split_scores(params, train_ds, test_ds))
 
 
+# each subcommand's name and help, in build_parser's order; _parse_args reads the names
+_COMMANDS = {
+    "gen-data": "synthesize a dataset directory",
+    "train": "train hash encoders on a dataset directory",
+    "eval": "evaluate a checkpoint on the test split",
+    "sweep": "train+eval over a noise x bits x variant grid",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphash",
         description="Self-paced cross-modal hashing under noisy labels",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"sphash {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,57 +453,50 @@ def build_parser() -> argparse.ArgumentParser:
         "the bare switch, false and null are left out",
     )
     envelope.add_argument("--out", type=Path, required=True, help="output directory")
-
-    p = sub.add_parser("gen-data", parents=[envelope], help="synthesize a dataset directory")
-    _add_synth_flags(p)
-    p.add_argument("--noise-rate", type=float, default=0.0,
-                   help="fraction of train-split labels to corrupt (default 0.0)")
-    p.add_argument("--seed", type=int, default=SynthSpec.seed,
-                   help="generation seed (default %(default)s)")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", parents=[envelope],
-                       help="train hash encoders on a dataset directory")
-    p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument(
-        "--bits", type=int, default=trainer.TrainConfig.code_length,
-        help="hash code length; typical settings are 16, 32, 64 or 128 (default %(default)s)",
+    gen_data, train, evaluate, sweep = (
+        sub.add_parser(name, parents=[envelope], allow_abbrev=False, help=text)
+        for name, text in _COMMANDS.items()
     )
-    p.add_argument(
-        "--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
-        help="ablation/robustness variant (default %(default)s)",
-    )
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[envelope], help="evaluate a checkpoint on the test split")
-    p.add_argument("--checkpoint", required=True, help="checkpoint file from train")
-    p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument("--weights", default=None,
-                   help="weights.csv from train, enables the noise-detection report")
-    p.add_argument("--pr-points", type=_pr_points, default=21,
-                   help=f"recall levels on the PR curves, 2 to {_MAX_PR_POINTS} (default 21)")
-    p.set_defaults(func=cmd_eval)
+    _add_synth_flags(gen_data)
+    gen_data.add_argument("--noise-rate", type=float, default=0.0,
+                          help="fraction of train-split labels to corrupt (default 0.0)")
+    gen_data.add_argument("--seed", type=int, default=SynthSpec.seed,
+                          help="generation seed (default %(default)s)")
+    gen_data.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("sweep", parents=[envelope],
-                       help="train+eval over a noise x bits x variant grid")
-    p.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
-                   help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
-    p.add_argument("--bits", type=_list_of(int), default=[16, 32, 64, 128],
-                   help="comma-separated code lengths (default 16,32,64,128)")
-    p.add_argument("--variants", type=_list_of(str), default=[_DEFAULT_VARIANT],
-                   help=f"comma-separated variants (default {_DEFAULT_VARIANT})")
-    _add_synth_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    train.add_argument("--data", required=True, help="dataset directory or manifest path")
+    train.add_argument("--bits", type=int, default=trainer.TrainConfig.code_length, help="hash "
+                       "code length; typical settings are 16, 32, 64 or 128 (default %(default)s)")
+    train.add_argument("--variant", choices=trainer.VARIANTS, default=_DEFAULT_VARIANT,
+                       help="ablation/robustness variant (default %(default)s)")
+    _add_train_flags(train)
+    train.set_defaults(func=cmd_train)
+
+    evaluate.add_argument("--checkpoint", required=True, help="checkpoint file from train")
+    evaluate.add_argument("--data", required=True, help="dataset directory or manifest path")
+    evaluate.add_argument("--weights", default=None,
+                          help="weights.csv from train, enables the noise-detection report")
+    evaluate.add_argument("--pr-points", type=_pr_points, default=21, help="recall levels on "
+                          f"the PR curves, 2 to {_MAX_PR_POINTS} (default 21)")
+    evaluate.set_defaults(func=cmd_eval)
+
+    sweep.add_argument("--noise-rates", type=_list_of(float), default=[0.2, 0.4, 0.6, 0.8],
+                       help="comma-separated noise rates (default 0.2,0.4,0.6,0.8)")
+    sweep.add_argument("--bits", type=_list_of(int), default=[16, 32, 64, 128],
+                       help="comma-separated code lengths (default 16,32,64,128)")
+    sweep.add_argument("--variants", type=_list_of(str), default=[_DEFAULT_VARIANT],
+                       help=f"comma-separated variants (default {_DEFAULT_VARIANT})")
+    _add_synth_flags(sweep)
+    _add_train_flags(sweep)
+    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
-def _config_flags(path: str, options) -> list[str]:
+def _config_flags(path: str) -> list[str]:
     """The flags a --config file stands for: ``--key=value`` per key of its JSON object.
 
-    Each key must spell one of options, the command's option strings, in full:
-    argparse would take a prefix of a flag for the flag.
+    The command's parse rejects a key that is not one of its flags in full.
     """
     try:
         values = json.loads(Path(path).read_text())
@@ -502,8 +507,6 @@ def _config_flags(path: str, options) -> list[str]:
     flags = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in options:
-            raise ParameterError(f"config file {path}: key {key!r} is not a flag of the command")
         if isinstance(value, list):
             # every item ends in a comma: a list flag skips the empty last item,
             # and a flag that takes one number rejects the text
@@ -517,26 +520,15 @@ def _config_flags(path: str, options) -> list[str]:
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     """argv parsed once, with its --config file's flags put before the command's own."""
-    (commands,) = parser._subparsers._group_actions
-    command = commands.choices.get(argv[0]) if argv else None
-    if command is None:  # the top-level options (--help, --version) only exit
-        return parser.parse_args(argv)
-    options = command._option_string_actions
-
-    def spelled(token: str) -> str:
-        """--config for a prefix of it that no other flag shares, as the command reads it."""
-        flag, equals, value = token.partition("=")
-        unique = [option for option in options if option.startswith(flag)] == ["--config"]
-        return "--config" + equals + value if flag.startswith("--") and unique else token
-
-    # an ambiguous prefix is not --config here, and the full parse exits 2 on it
-    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
-    config = finder.parse_known_args([spelled(token) for token in argv])[0].config
+    config = None
+    if argv and argv[0] in _COMMANDS:  # before the command name only --help and --version parse
+        finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+        finder.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
+        config = finder.parse_known_args(argv[1:])[0].config
     if config is None:
         return parser.parse_args(argv)
     try:
-        return parser.parse_args(argv[:1] + _config_flags(config, options) + argv[1:])
+        return parser.parse_args(argv[:1] + _config_flags(config) + argv[1:])
     except SystemExit as exc:  # argparse has printed which flag failed
         if not exc.code:  # --help
             raise
@@ -574,6 +566,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a resource failure, as a full disk is
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

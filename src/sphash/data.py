@@ -160,14 +160,12 @@ def generate_synthetic(spec: SynthSpec) -> MultiModalDataset:
     )
 
 
-def inject_symmetric_noise(
-    labels: np.ndarray, rate: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flip exactly round(rate*N) rows to a uniformly random different class.
+def inject_symmetric_noise(labels: np.ndarray, rate: float, seed: int) -> np.ndarray:
+    """The labels with exactly round(rate*N) rows flipped to a uniformly random other class.
 
-    Returns (noisy labels, mask of flipped rows). The flip count is
-    deterministic rather than per-row Bernoulli, so downstream checks on the
-    mask are exact. Only single-label inputs are supported.
+    The flip count is deterministic rather than per-row Bernoulli, so the
+    noise mask, the rows where the result differs from labels, has an exact
+    count. Only single-label inputs are supported.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"noise rate {rate} outside [0, 1]")
@@ -178,9 +176,8 @@ def inject_symmetric_noise(
     n, k = labels.shape
     n_flip = int(np.floor(rate * n + 0.5))
     noisy = labels.copy()
-    mask = np.zeros(n, dtype=bool)
     if n_flip == 0:
-        return noisy, mask
+        return noisy
 
     rng = spawn_rng(seed, "symmetric-noise")
     rows = rng.choice(n, size=n_flip, replace=False)
@@ -190,8 +187,7 @@ def inject_symmetric_noise(
     new[new >= old] += 1
     noisy[rows] = 0
     noisy[rows, new] = 1
-    mask[rows] = True
-    return noisy, mask
+    return noisy
 
 
 def inject_noise_subset(
@@ -200,7 +196,7 @@ def inject_noise_subset(
     """New dataset with symmetric noise applied only to the given rows."""
     rows = np.asarray(rows)
     labels = dataset.labels.copy()
-    labels[rows], _ = inject_symmetric_noise(dataset.labels[rows], rate, seed)
+    labels[rows] = inject_symmetric_noise(dataset.labels[rows], rate, seed)
     return replace(dataset, labels=labels)
 
 

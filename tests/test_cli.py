@@ -379,22 +379,25 @@ class TestSweep:
         assert all(c["hidden_dim"] == 10 and c["loss"]["alpha"] == 0.1 for c in train)
         assert all(c["pace"]["gamma_start"] == pytest.approx(1.5) for c in train)  # resolved
 
-    def test_singular_variant_flag_selects_the_variant_grid(self, tmp_path, monkeypatch):
-        # argparse resolves the prefix --variant to sweep's --variants; the last value wins
-        monkeypatch.setattr(cli_module, "_run_cell", lambda *args: (0.5, 0.5))
-        assert main(SWEEP_ARGS + ["--variant", "no_spl", "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["config"]["variants"] == ["no_spl"]
+    def test_singular_variant_flag_exit_2_and_makes_no_out(self, tmp_path):
+        # --variant is train's flag; to sweep it would only be a prefix of --variants
+        out = tmp_path / "out"
+        assert _exit_code(SWEEP_ARGS + ["--variant", "no_spl", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_diverged_cell_becomes_error_cell(self, tmp_path, monkeypatch):
-        def explode(*args, **kwargs):
-            raise TrainingDivergedError("non-finite loss at epoch 2, batch 0")
+        # so does a cell that runs out of memory
+        for error in (TrainingDivergedError("non-finite loss at epoch 2, batch 0"),
+                      MemoryError("Unable to allocate 745. GiB")):
+            def explode(*args, **kwargs):
+                raise error
 
-        monkeypatch.setattr(cli_module.trainer, "train", explode)
-        assert main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 1
-        rows = (tmp_path / "aggregate.csv").read_text().strip().splitlines()[1:]
-        assert all(row.split(",")[1:] == ["error"] * 4 for row in rows)
-        assert list((tmp_path / "cells").glob("*/train/checkpoint.bin")) == []
+            monkeypatch.setattr(cli_module.trainer, "train", explode)
+            out = tmp_path / type(error).__name__
+            assert main(SWEEP_ARGS + ["--out", str(out)]) == 1
+            rows = (out / "aggregate.csv").read_text().strip().splitlines()[1:]
+            assert all(row.split(",")[1:] == ["error"] * 4 for row in rows)
+            assert list((out / "cells").glob("*/train/checkpoint.bin")) == []
 
     def test_cell_equals_a_standalone_train_and_eval(self, sweep_dir, tmp_path):
         cell = sweep_dir / "cells" / "n0.6_b8_no_spl"
@@ -604,27 +607,24 @@ class TestConfigFile:
         assert main(["gen-data", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "sweep"])
-    def test_ambiguous_prefix_of_config_exit_2_before_the_file_is_read(
+    def test_prefix_of_config_exit_2_before_the_file_is_read(
             self, dataset_dir, train_dir, tmp_path, command):
-        # --c also abbreviates --class-separation, --clean-val or --checkpoint
+        # a missing file would exit 3 if it were read
         paths = {"train": ["--data", str(dataset_dir)],
                  "eval": ["--checkpoint", str(train_dir / "checkpoint.bin"),
                           "--data", str(dataset_dir)]}
         out = tmp_path / "out"
-        argv = [command, "--c", str(tmp_path / "missing.json"), *paths.get(command, []),
-                "--out", str(out)]
-        assert _exit_code(argv) == 2
-        assert not out.exists()
+        for prefix in ("--c", "--conf"):
+            argv = [command, prefix, str(tmp_path / "missing.json"), *paths.get(command, []),
+                    "--out", str(out)]
+            assert _exit_code(argv) == 2, prefix
+            assert not out.exists()
 
-    def test_unambiguous_prefix_of_config_applies_the_file(self, dataset_dir, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bits": 6, "hidden": 12, "batch_size": 16, "warmup": 1,
-                                      "epochs": 3, "alpha": 0.1, "seed": 7}))
-        out = tmp_path / "model"
-        assert main(["train", "--conf", str(config), "--data", str(dataset_dir),
-                     "--out", str(out)]) == 0
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["config"]["train"]["code_length"] == 6
+    def test_config_before_the_command_name_exit_2_before_the_file_is_read(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--config", str(tmp_path / "missing.json"), *GEN_ARGS, "--out", str(out)]
+        assert _exit_code(argv) == 2  # 3 if the missing file were read
+        assert not out.exists()
 
     def test_sweep_lists_match_flags(self, sweep_dir, tmp_path):
         config = tmp_path / "config.json"
@@ -788,6 +788,19 @@ class TestInputErrors:
                 argv = TRAIN_ARGS + ["--data", str(dataset_dir), *args, "--out", str(out)]
                 assert _exit_code(argv) == 2, args
                 assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "sweep"])
+    def test_abbreviated_flag_exit_2_before_any_work(self, dataset_dir, train_dir, tmp_path,
+                                                     command):
+        # each argv runs to exit 0 with the flag spelled in full (--seed, --pr-points)
+        argv = {"gen-data": GEN_ARGS + ["--se", "5"],
+                "train": TRAIN_ARGS + ["--data", str(dataset_dir), "--se", "5"],
+                "eval": ["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                         "--data", str(dataset_dir), "--pr", "5"],
+                "sweep": SWEEP_ARGS + ["--se", "5"]}[command]
+        out = tmp_path / "out"
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_format_and_io_errors_are_labelled_apart(self, dataset_dir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -1176,6 +1189,24 @@ class TestReplay:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, target", [
+        ("gen-data", "generate_synthetic"), ("train", "trainer.train"),
+        ("eval", "evaluator.mean_average_precision"),  # raised in the scoring child too
+    ])
+    def test_out_of_memory_exit_3_with_one_line(self, dataset_dir, train_dir, tmp_path,
+                                                monkeypatch, capsys, command, target):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        owner, _, name = target.rpartition(".")
+        monkeypatch.setattr(getattr(cli_module, owner) if owner else cli_module, name, exhaust)
+        argv = {"gen-data": GEN_ARGS,
+                "train": TRAIN_ARGS + ["--data", str(dataset_dir)],
+                "eval": ["eval", "--checkpoint", str(train_dir / "checkpoint.bin"),
+                         "--data", str(dataset_dir)]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 745. GiB\n"
+
     def test_divergence_maps_to_exit_4(self, dataset_dir, tmp_path, monkeypatch):
         from sphash.errors import TrainingDivergedError
         import sphash.cli as cli_module
